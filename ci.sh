@@ -76,6 +76,12 @@ cargo build --release --offline
 stage "tier-1: test"
 cargo test -q --offline
 
+stage "benchmark builds + unit tests"
+# The benchmark (loombench/, its own workspace) builds against the
+# crates by path and implements their public traits; building and
+# testing it here makes any break of that surface fail pre-commit.
+cargo test --offline -q --manifest-path loombench/Cargo.toml
+
 stage "batch-equivalence suite"
 # The batched-ingest contract, by name: batch mode must be
 # bit-identical to edge-at-a-time for every batch size (assignments,
@@ -84,26 +90,11 @@ stage "batch-equivalence suite"
 # violation name itself in the stage table.
 cargo test -q --offline -p loom-core --test batch_equivalence
 
-stage "parallel-equivalence suite"
-# The parallel-ingest contract, by name: multi-worker ingest must be
-# bit-identical to sequential for every worker count and batch size
-# (DESIGN.md §13), and a worker panic must surface as a clean engine
-# error naming batch and edge, never a hang. Also in tier-1 above.
-cargo test -q --offline -p loom-core --test parallel_equivalence
-
-stage "shard-equivalence suite"
-# The sharded-state contract, by name: shard-owned vertex state must
-# be bit-identical to the flat layout for every (shard count, worker
-# count, batch size) — including Hash's shard-parallel commit and the
-# degenerate shapes (more shards than vertices, a single-vertex
-# universe). DESIGN.md §14. Also in tier-1 above.
-cargo test -q --offline -p loom-core --test shard_equivalence
-
 stage "recovery suite (kill/resume matrix)"
 # The crash-recovery contract, by name: a run killed at any point —
 # mid-batch, exactly at a checkpoint, one past it — and resumed from
 # its WAL must be bit-identical to one uninterrupted run, across
-# shards x threads x batch sizes; torn journal tails and corrupt or
+# batch sizes; torn journal tails and corrupt or
 # missing checkpoints must recover from the checksummed prefix or
 # fail loudly naming the record (DESIGN.md §15). Both suites are also
 # in tier-1 above; the second drives the real binary end to end
@@ -137,13 +128,6 @@ stage "adjacency micro-suite (1 sample)"
 # bounded churn (expiry + generational compaction) vs full counter
 # maintenance under eviction.
 LOOM_BENCH_SAMPLES=1 cargo bench --offline -q --bench adjacency_churn
-
-stage "scaling micro-suite (1 sample)"
-# The parallel ingest pipeline across 1/2/4/8 workers on match-dense,
-# hub-heavy and hash-sharded streams: must build and run end to end
-# every CI pass (scaling itself is only asserted on multi-core hosts,
-# in the full-mode smoke below).
-LOOM_BENCH_SAMPLES=1 cargo bench --offline -q --bench scaling_micro
 
 stage "stream smoke (stdin ingest, online engine)"
 # A small-scale generate emits ~15k edges; stream must ingest them from
@@ -247,27 +231,12 @@ else
 fi
 WORKLOAD=target/ci-smoke-workload.wl
 ./target/release/loom workload --dataset dblp --out "$WORKLOAD" 2>/dev/null
-smoke_run() { # smoke_run THREADS SHARDS OUTFILE  (prints wall seconds)
-  local t0=$SECONDS
-  ./target/release/loom stream --k 4 --system loom --source synthetic \
-      --max-edges "$SMOKE_EDGES" --window 1024 --snapshot-every "$SMOKE_EVERY" \
-      --batch "$SMOKE_BATCH" --threads "$1" --shards "$2" \
-      --workload "$WORKLOAD" --labels 4 2>/dev/null > "$3"
-  echo $((SECONDS - t0))
-}
-if [ "$MODE" = full ]; then
-  # Full mode drives the smoke three times — sequential, at 4 ingest
-  # workers, and at 4 workers x 4 shards — so the 1M-edge run also
-  # exercises the parallel pipeline and the sharded state layout end
-  # to end. The plateau assertions below read the t4 output.
-  T1_SECS=$(smoke_run 1 1 target/ci-smoke-t1.txt)
-  T4_SECS=$(smoke_run 4 1 target/ci-smoke-t4.txt)
-  S4_SECS=$(smoke_run 4 4 target/ci-smoke-t4s4.txt)
-  SMOKE_OUT=target/ci-smoke-t4.txt
-else
-  T1_SECS=$(smoke_run 1 1 target/ci-smoke-t1.txt)
-  SMOKE_OUT=target/ci-smoke-t1.txt
-fi
+SMOKE_T0=$SECONDS
+./target/release/loom stream --k 4 --system loom --source synthetic \
+    --max-edges "$SMOKE_EDGES" --window 1024 --snapshot-every "$SMOKE_EVERY" \
+    --batch "$SMOKE_BATCH" \
+    --workload "$WORKLOAD" --labels 4 2>/dev/null > target/ci-smoke.txt
+SMOKE_SECS=$((SECONDS - SMOKE_T0))
 awk '
     /^snapshot .* arena .* adjacency / {
       # First "gen" on the line belongs to the arena, second to the
@@ -297,53 +266,12 @@ awk '
       }
       print "long smoke: arena plateau at " last_arena " cells (min " min_arena ", gen " arena_gen ")"
       print "long smoke: adjacency plateau at " last_adj " entries (min " min_adj ", gen " adj_gen ")"
-    }' "$SMOKE_OUT"
+    }' target/ci-smoke.txt
 
 if [ "$MODE" = full ]; then
-  stage "parallel ingest equivalence (CLI, t4 vs t1)"
-  # The only permitted difference between the t1 and t4 runs is the
-  # per-snapshot phase-timing suffix ("threads N probe Xms commit Yms",
-  # absent at t1 by design): every counter, size vector, capacity and
-  # occupancy digit must match. This is the end-to-end CLI face of
-  # crates/loom-core/tests/parallel_equivalence.rs.
-  sed 's/  threads .*$//' target/ci-smoke-t4.txt > target/ci-smoke-t4-stripped.txt
-  if ! diff -u target/ci-smoke-t1.txt target/ci-smoke-t4-stripped.txt; then
-    echo "parallel equivalence: t4 output diverged from t1" >&2
-    exit 1
-  fi
-  echo "parallel equivalence: t1 and t4 outputs identical (timing suffix aside)"
-  echo "parallel smoke timing: t1 ${T1_SECS}s, t4 ${T4_SECS}s, t4s4 ${S4_SECS}s ($(nproc) core(s))"
-  # Speedup is only a meaningful assertion when the host has real
-  # parallelism; on 1-2 cores the extra workers measure coordination
-  # overhead, which the threads=1 default never pays.
-  CORES=$(nproc)
-  if [ "$CORES" -ge 4 ] && [ "$T1_SECS" -ge 10 ]; then
-    # >= 1.6x at 4 workers (integer-second arithmetic: 10*t4 <= 6.25*t1,
-    # i.e. 16*t4 <= 10*t1).
-    if [ $((16 * T4_SECS)) -gt $((10 * T1_SECS)) ]; then
-      echo "parallel smoke: expected >=1.6x speedup at 4 workers on $CORES cores (t1 ${T1_SECS}s, t4 ${T4_SECS}s)" >&2
-      exit 1
-    fi
-    echo "parallel smoke: speedup gate passed"
-  else
-    echo "parallel smoke: speedup gate skipped ($CORES core(s), t1 ${T1_SECS}s)"
-  fi
-
-  stage "sharded ingest equivalence (CLI, t4s4 vs t1)"
-  # Same contract for the sharded layout (DESIGN.md §14): the 1M-edge
-  # run at 4 workers x 4 shards must match the unsharded sequential
-  # run on every digit, timing suffix aside. This is the end-to-end
-  # CLI face of crates/loom-core/tests/shard_equivalence.rs.
-  sed 's/  threads .*$//' target/ci-smoke-t4s4.txt > target/ci-smoke-t4s4-stripped.txt
-  if ! diff -u target/ci-smoke-t1.txt target/ci-smoke-t4s4-stripped.txt; then
-    echo "shard equivalence: t4s4 output diverged from unsharded t1" >&2
-    exit 1
-  fi
-  echo "shard equivalence: t4s4 and t1 outputs identical (timing suffix aside)"
-
   stage "recovery smoke (1M edges with --wal)"
   # The 1M-edge smoke once more with a WAL attached: every digit of
-  # the snapshot stream must match the WAL-off t1 run once the wal
+  # the snapshot stream must match the WAL-off run once the wal
   # bookkeeping segment is stripped (the journal and checkpoints are
   # pure observation), and journaling + checkpointing may not cost
   # more than 30% wall time on top of the WAL-off run.
@@ -352,26 +280,26 @@ if [ "$MODE" = full ]; then
   WAL_T0=$SECONDS
   ./target/release/loom stream --k 4 --system loom --source synthetic \
       --max-edges "$SMOKE_EDGES" --window 1024 --snapshot-every "$SMOKE_EVERY" \
-      --batch "$SMOKE_BATCH" --threads 1 --shards 1 \
+      --batch "$SMOKE_BATCH" \
       --workload "$WORKLOAD" --labels 4 \
       --wal "$WAL_DIR" --checkpoint-every 250000 2>/dev/null > target/ci-smoke-wal.txt
   WAL_SECS=$((SECONDS - WAL_T0))
   sed 's/  wal .*$//' target/ci-smoke-wal.txt > target/ci-smoke-wal-stripped.txt
-  if ! diff -u target/ci-smoke-t1.txt target/ci-smoke-wal-stripped.txt; then
+  if ! diff -u target/ci-smoke.txt target/ci-smoke-wal-stripped.txt; then
     echo "recovery smoke: WAL-on output diverged from WAL-off" >&2
     exit 1
   fi
   echo "recovery smoke: WAL-on and WAL-off outputs identical (wal segment aside)"
-  echo "recovery smoke timing: WAL-off ${T1_SECS}s, WAL-on ${WAL_SECS}s, $(du -sh "$WAL_DIR" | cut -f1) on disk"
-  if [ "$T1_SECS" -ge 10 ]; then
+  echo "recovery smoke timing: WAL-off ${SMOKE_SECS}s, WAL-on ${WAL_SECS}s, $(du -sh "$WAL_DIR" | cut -f1) on disk"
+  if [ "$SMOKE_SECS" -ge 10 ]; then
     # <= 1.3x wall time (integer-second arithmetic: 10*wal <= 13*t1).
-    if [ $((10 * WAL_SECS)) -gt $((13 * T1_SECS)) ]; then
-      echo "recovery smoke: WAL overhead over 30% (WAL-off ${T1_SECS}s, WAL-on ${WAL_SECS}s)" >&2
+    if [ $((10 * WAL_SECS)) -gt $((13 * SMOKE_SECS)) ]; then
+      echo "recovery smoke: WAL overhead over 30% (WAL-off ${SMOKE_SECS}s, WAL-on ${WAL_SECS}s)" >&2
       exit 1
     fi
     echo "recovery smoke: overhead gate passed"
   else
-    echo "recovery smoke: overhead gate skipped (WAL-off run took only ${T1_SECS}s)"
+    echo "recovery smoke: overhead gate skipped (WAL-off run took only ${SMOKE_SECS}s)"
   fi
   rm -rf "$WAL_DIR"
 fi
@@ -389,7 +317,7 @@ if [ "$MODE" = full ]; then
   #   3 = the committed baseline is missing or corrupt (re-generate
   #       and commit BENCH_results.json; nothing regressed)
   # Each gate run also appends a one-line JSON summary (timestamp,
-  # parallelism, per-system ms/quality, pass/fail) to the git-ignored
+  # per-system ms/quality, pass/fail) to the git-ignored
   # BENCH_history.jsonl, so perf drift across local runs is greppable.
   GATE_STATUS=0
   ./target/release/repro --scale small --seed 42 \

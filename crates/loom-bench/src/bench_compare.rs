@@ -24,10 +24,6 @@ pub struct SystemSummary {
     pub weighted_ipt: f64,
     /// Mean imbalance across ipt cells.
     pub imbalance: f64,
-    /// Ingest worker count the row's timed legs ran with (1 =
-    /// sequential; summaries written before the field existed parse
-    /// as 1).
-    pub threads: u64,
     /// Number of ipt cells averaged.
     pub cells: u64,
 }
@@ -39,13 +35,6 @@ pub struct BenchSummary {
     pub scale: String,
     /// Master seed.
     pub seed: u64,
-    /// Effective parallelism of the machine that produced the summary
-    /// (summaries written before the field existed parse as 1). Rows
-    /// timed at `threads` beyond this measured pool overhead on a
-    /// starved machine, not parallel speedup, so the gate only
-    /// compares their throughput where both machines could actually
-    /// run them in parallel.
-    pub parallelism: u64,
     /// Total ipt cells.
     pub cells: u64,
     /// Per-system rows, in file order.
@@ -77,9 +66,6 @@ impl BenchSummary {
     pub fn parse(text: &str) -> Result<BenchSummary, String> {
         let scale = string_after(text, "scale").ok_or("missing \"scale\"")?;
         let seed = number_after(text, "seed").ok_or("missing \"seed\"")? as u64;
-        // Header-only key; summaries predating it parse as 1 (the most
-        // conservative reading: every threads>1 row gets skipped).
-        let parallelism = (number_after(text, "parallelism").unwrap_or(1.0) as u64).max(1);
         let cells = number_after(text, "cells").ok_or("missing \"cells\"")? as u64;
         let systems_at = text
             .find("\"systems\"")
@@ -101,7 +87,6 @@ impl BenchSummary {
                 ms_per_10k_edges: get("ms_per_10k_edges")?,
                 weighted_ipt: get("weighted_ipt")?,
                 imbalance: get("imbalance")?,
-                threads: number_after(line, "threads").unwrap_or(1.0) as u64,
                 cells: get("cells")? as u64,
                 name: name.clone(),
             };
@@ -113,7 +98,6 @@ impl BenchSummary {
         Ok(BenchSummary {
             scale,
             seed,
-            parallelism,
             cells,
             systems,
         })
@@ -128,10 +112,6 @@ pub struct GateReport {
     pub table: String,
     /// Violations; the gate passes iff this is empty.
     pub failures: Vec<String>,
-    /// Non-fatal notices (e.g. a throughput comparison skipped because
-    /// a row's thread count exceeds a machine's parallelism). Printed
-    /// alongside the table; never fail the gate.
-    pub notes: Vec<String>,
 }
 
 impl GateReport {
@@ -150,12 +130,6 @@ impl GateReport {
 /// baseline by more than `ms_tolerance` (fractional, e.g. 0.30).
 pub fn compare(baseline: &BenchSummary, fresh: &BenchSummary, ms_tolerance: f64) -> GateReport {
     let mut failures = Vec::new();
-    let mut notes = Vec::new();
-    // Throughput rows timed at more workers than either machine can
-    // actually run in parallel measured pool overhead, not speedup —
-    // comparing them is apples to oranges, so those rows get quality
-    // checks only.
-    let effective_parallelism = baseline.parallelism.min(fresh.parallelism);
     if baseline.scale != fresh.scale || baseline.seed != fresh.seed {
         failures.push(format!(
             "run shape changed: baseline scale '{}' seed {} vs fresh scale '{}' seed {}",
@@ -202,28 +176,7 @@ pub fn compare(baseline: &BenchSummary, fresh: &BenchSummary, ms_tolerance: f64)
                 base.name, base.cells, new.cells
             ));
         }
-        if new.threads != base.threads {
-            status = "FAIL";
-            failures.push(format!(
-                "{}: ingest worker count changed {} -> {} (throughput rows are only comparable at the same thread count)",
-                base.name, base.threads, new.threads
-            ));
-        }
-        if base.threads > effective_parallelism {
-            if status == "ok" {
-                status = "ok (ms skipped)";
-            }
-            notes.push(format!(
-                "{}: throughput comparison skipped — row timed at {} workers but the \
-                 effective parallelism is {} (baseline machine {}, this machine {}); \
-                 quality still checked",
-                base.name,
-                base.threads,
-                effective_parallelism,
-                baseline.parallelism,
-                fresh.parallelism
-            ));
-        } else if new.ms_per_10k_edges > base.ms_per_10k_edges * (1.0 + ms_tolerance) {
+        if new.ms_per_10k_edges > base.ms_per_10k_edges * (1.0 + ms_tolerance) {
             status = "FAIL";
             failures.push(format!(
                 "{}: ms/10k-edges regressed {:.3} -> {:.3} ({:+.1}%, tolerance {:.0}%)",
@@ -258,25 +211,17 @@ pub fn compare(baseline: &BenchSummary, fresh: &BenchSummary, ms_tolerance: f64)
         "| system | ms/10k (committed) | ms/10k (fresh) | Δ | weighted_ipt | imbalance | status |\n|---|---|---|---|---|---|---|\n{}\n",
         rows.join("\n")
     );
-    GateReport {
-        table,
-        failures,
-        notes,
-    }
+    GateReport { table, failures }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_at(ms: f64, ipt: f64, parallelism: u64) -> String {
-        format!(
-            "{{\n  \"scale\": \"small\",\n  \"seed\": 42,\n  \"parallelism\": {parallelism},\n  \"suites\": [\"fig7\", \"fig8\"],\n  \"cells\": 24,\n  \"systems\": {{\n    \"Hash\": {{\"ms_per_10k_edges\": 0.111, \"weighted_ipt\": 38985.4146, \"imbalance\": 0.05314, \"threads\": 1, \"cells\": 24}},\n    \"Loom\": {{\"ms_per_10k_edges\": {ms}, \"weighted_ipt\": {ipt}, \"imbalance\": 0.08989, \"threads\": 1, \"cells\": 24}},\n    \"Loom@t4\": {{\"ms_per_10k_edges\": {ms}, \"weighted_ipt\": {ipt}, \"imbalance\": 0.08989, \"threads\": 4, \"cells\": 24}}\n  }}\n}}\n"
-        )
-    }
-
     fn sample(ms: f64, ipt: f64) -> String {
-        sample_at(ms, ipt, 4)
+        format!(
+            "{{\n  \"scale\": \"small\",\n  \"seed\": 42,\n  \"suites\": [\"fig7\", \"fig8\"],\n  \"cells\": 24,\n  \"systems\": {{\n    \"Hash\": {{\"ms_per_10k_edges\": 0.111, \"weighted_ipt\": 38985.4146, \"imbalance\": 0.05314, \"cells\": 24}},\n    \"Loom\": {{\"ms_per_10k_edges\": {ms}, \"weighted_ipt\": {ipt}, \"imbalance\": 0.08989, \"cells\": 24}}\n  }}\n}}\n"
+        )
     }
 
     #[test]
@@ -285,76 +230,11 @@ mod tests {
         assert_eq!(s.scale, "small");
         assert_eq!(s.seed, 42);
         assert_eq!(s.cells, 24);
-        assert_eq!(s.systems.len(), 3);
+        assert_eq!(s.systems.len(), 2);
         assert_eq!(s.systems[1].name, "Loom");
         assert_eq!(s.systems[1].ms_per_10k_edges, 2.943);
         assert_eq!(s.systems[1].weighted_ipt, 19998.9554);
-        assert_eq!(s.systems[1].threads, 1);
         assert_eq!(s.systems[1].cells, 24);
-        assert_eq!(s.systems[2].name, "Loom@t4");
-        assert_eq!(s.systems[2].threads, 4);
-    }
-
-    #[test]
-    fn missing_threads_parses_as_sequential() {
-        // Summaries written before the parallel-ingest work carry no
-        // "threads" key; they must parse as threads = 1, not error.
-        let legacy = sample(2.0, 19998.9554).replace("\"threads\": 1, ", "");
-        let s = BenchSummary::parse(&legacy).unwrap();
-        assert_eq!(s.systems[0].threads, 1);
-        assert_eq!(s.systems[1].threads, 1);
-    }
-
-    #[test]
-    fn missing_parallelism_parses_as_one() {
-        let legacy = sample(2.0, 19998.9554).replace("  \"parallelism\": 4,\n", "");
-        let s = BenchSummary::parse(&legacy).unwrap();
-        assert_eq!(s.parallelism, 1);
-        assert_eq!(
-            BenchSummary::parse(&sample(2.0, 1.0)).unwrap().parallelism,
-            4
-        );
-    }
-
-    #[test]
-    fn threads_beyond_parallelism_skip_ms_but_not_quality() {
-        // Baseline measured on a single-core machine: its Loom@t4 row
-        // (threads 4) recorded pool overhead. A 10x ms regression on
-        // that row must NOT fail the gate — only a notice.
-        let base = BenchSummary::parse(&sample_at(2.0, 19998.9554, 1)).unwrap();
-        let mut fresh = BenchSummary::parse(&sample_at(2.0, 19998.9554, 8)).unwrap();
-        fresh.systems[2].ms_per_10k_edges = 20.0;
-        let r = compare(&base, &fresh, 0.30);
-        assert!(r.passed(), "failures: {:?}", r.failures);
-        assert_eq!(r.notes.len(), 1, "notes: {:?}", r.notes);
-        assert!(r.notes[0].contains("Loom@t4"), "{:?}", r.notes);
-        assert!(r.table.contains("ok (ms skipped)"));
-        // Quality on the skipped row is still gated exactly.
-        fresh.systems[2].weighted_ipt += 0.0001;
-        let r = compare(&base, &fresh, 0.30);
-        assert!(!r.passed());
-        assert!(r.failures[0].contains("weighted_ipt"), "{:?}", r.failures);
-    }
-
-    #[test]
-    fn ms_still_gated_when_both_machines_are_parallel() {
-        let base = BenchSummary::parse(&sample_at(2.0, 19998.9554, 4)).unwrap();
-        let mut fresh = base.clone();
-        fresh.systems[2].ms_per_10k_edges = 20.0;
-        let r = compare(&base, &fresh, 0.30);
-        assert!(!r.passed());
-        assert!(r.failures[0].contains("Loom@t4"), "{:?}", r.failures);
-        assert!(r.notes.is_empty(), "{:?}", r.notes);
-    }
-
-    #[test]
-    fn thread_count_change_fails_the_gate() {
-        let base = BenchSummary::parse(&sample(2.0, 19998.9554)).unwrap();
-        let mut fresh = base.clone();
-        fresh.systems[1].threads = 4;
-        let r = compare(&base, &fresh, 0.30);
-        assert!(!r.passed());
-        assert!(r.failures[0].contains("worker count"), "{:?}", r.failures);
     }
 
     #[test]

@@ -2,15 +2,9 @@
 //!
 //! ```text
 //! repro [--experiment all|fig4|table1|fig7|fig8|table2|fig9|ablations|online]
-//!       [--scale tiny|small|medium|large] [--seed N] [--threads N|auto] [--jsonl PATH]
+//!       [--scale tiny|small|medium|large] [--seed N] [--jsonl PATH]
 //!       [--bench-json PATH|none] [--compare-bench PATH] [--history PATH]
 //! ```
-//!
-//! `--threads N` runs every timed partition leg with N ingest workers
-//! (default 1 = sequential; `auto` resolves the machine's parallelism
-//! and prints it). Quality numbers are bit-identical for any value —
-//! parallelism only fans out the pure probe phase (DESIGN.md §13) —
-//! so this moves only the throughput columns.
 //!
 //! `--history PATH` (with `--compare-bench`) appends one JSON line per
 //! gate run to PATH — the cross-PR perf trajectory log; CI points it
@@ -61,7 +55,7 @@ const GATE_MS_TOLERANCE: f64 = 0.30;
 /// `loom` binary's USAGE carries).
 const HELP: &str =
     "repro [--experiment all|fig4|table1|fig7|fig8|table2|fig9|ablations|online]\n      \
-[--scale tiny|small|medium|large] [--seed N] [--threads N|auto] [--jsonl PATH]\n      \
+[--scale tiny|small|medium|large] [--seed N] [--jsonl PATH]\n      \
 [--bench-json PATH|none] [--compare-bench PATH] [--history PATH] [--help]";
 
 /// The experiment names `--experiment` accepts.
@@ -107,18 +101,6 @@ fn parse_args_from(argv: &[String]) -> Result<Args, String> {
                 options.seed = take_value(&mut i)?
                     .parse()
                     .map_err(|e| format!("bad seed: {e}"))?
-            }
-            "--threads" | "-t" => {
-                let v = take_value(&mut i)?;
-                if v == "auto" {
-                    options.threads = loom_core::runtime::available_parallelism();
-                    eprintln!("--threads auto resolved to {}", options.threads);
-                } else {
-                    options.threads = v.parse().map_err(|e| format!("bad thread count: {e}"))?;
-                    if options.threads == 0 {
-                        return Err("--threads must be >= 1 (1 = sequential), or 'auto'".into());
-                    }
-                }
             }
             "--jsonl" => jsonl = Some(take_value(&mut i)?),
             "--bench-json" => {
@@ -223,23 +205,7 @@ fn main() {
         eprintln!("wrote {} result rows to {path}", all_results.len() * 4);
     }
 
-    // The parallel-ingest trajectory row: rerun the Loom legs at 4
-    // ingest workers (quality provably identical, throughput tracked
-    // PR over PR as "Loom@t4"). Only when a summary is actually
-    // consumed — the rerun costs a full Loom pass per ipt cell.
-    const PARALLEL_ROW_THREADS: usize = 4;
-    let loom_t4 =
-        if !all_results.is_empty() && (args.bench_json.is_some() || args.compare_bench.is_some()) {
-            suites::loom_parallel_rerun(&all_results, PARALLEL_ROW_THREADS)
-        } else {
-            Vec::new()
-        };
-    let summary = suites::bench_summary(
-        &suites_run,
-        &opts,
-        &all_results,
-        Some((PARALLEL_ROW_THREADS, &loom_t4)),
-    );
+    let summary = suites::bench_summary(&suites_run, &opts, &all_results);
     // Read the committed baseline BEFORE any write: with the default
     // --bench-json path, `--compare-bench BENCH_results.json` names
     // the same file the fresh summary is about to land in, and a
@@ -278,9 +244,6 @@ fn main() {
         let report = loom_bench::compare(&baseline, &fresh, GATE_MS_TOLERANCE);
         eprintln!("## Perf gate: fresh run vs committed {path}\n");
         eprintln!("{}", report.table);
-        for n in &report.notes {
-            eprintln!("perf gate note: {n}");
-        }
         // Record the run in the perf-trajectory log (git-ignored, one
         // JSON line per gate run) before any exit path. The history
         // hook also runs the in-process crash-recovery drill, so the
@@ -430,9 +393,8 @@ fn recovery_drill() -> Result<RecoveryDrill, String> {
 
 /// Append one JSON line summarising a perf-gate run to `path` — the
 /// cross-PR perf trajectory (`BENCH_history.jsonl`, git-ignored): when
-/// it ran, on what machine shape, whether the gate passed, every
-/// system's throughput/quality numbers, and the recovery-drill
-/// outcomes.
+/// it ran, whether the gate passed, every system's throughput/quality
+/// numbers, and the recovery-drill outcomes.
 fn append_history(
     path: &str,
     fresh: &loom_bench::BenchSummary,
@@ -445,10 +407,9 @@ fn append_history(
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let mut line = format!(
-        "{{\"ts\": {ts}, \"scale\": \"{}\", \"seed\": {}, \"parallelism\": {}, \"cells\": {}, \"gate\": \"{}\", \"systems\": {{",
+        "{{\"ts\": {ts}, \"scale\": \"{}\", \"seed\": {}, \"cells\": {}, \"gate\": \"{}\", \"systems\": {{",
         fresh.scale,
         fresh.seed,
-        fresh.parallelism,
         fresh.cells,
         if passed { "pass" } else { "fail" },
     );
@@ -457,8 +418,8 @@ fn append_history(
             line.push_str(", ");
         }
         line.push_str(&format!(
-            "\"{}\": {{\"ms_per_10k_edges\": {}, \"weighted_ipt\": {}, \"imbalance\": {}, \"threads\": {}}}",
-            s.name, s.ms_per_10k_edges, s.weighted_ipt, s.imbalance, s.threads
+            "\"{}\": {{\"ms_per_10k_edges\": {}, \"weighted_ipt\": {}, \"imbalance\": {}}}",
+            s.name, s.ms_per_10k_edges, s.weighted_ipt, s.imbalance
         ));
     }
     line.push_str(&format!(
@@ -491,11 +452,10 @@ mod tests {
 
     /// Every long flag `parse_args_from` matches (short aliases
     /// aside) — the registry [`HELP`] is tested against.
-    const FLAGS: [&str; 9] = [
+    const FLAGS: [&str; 8] = [
         "experiment",
         "scale",
         "seed",
-        "threads",
         "jsonl",
         "bench-json",
         "compare-bench",
@@ -569,7 +529,7 @@ mod tests {
             let value = match f {
                 "experiment" => "fig4",
                 "scale" => "tiny",
-                "seed" | "threads" => "1",
+                "seed" => "1",
                 _ => "/tmp/x",
             };
             assert!(

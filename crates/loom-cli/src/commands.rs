@@ -34,12 +34,6 @@ commands:
              [--system hash|ldg|fennel|loom] [--workload FILE]
              [--batch N (ingest batch size; 1 = edge-at-a-time,
               bit-identical either way; default 256)]
-             [--threads N|auto (ingest worker count; default 1 =
-              sequential; auto = the machine's parallelism, printed;
-              results are bit-identical for any value — workers only
-              fan out the pure probe phase)]
-             [--shards N (shard count for the per-vertex state columns;
-              default 1 = flat; bit-identical for any value)]
              [--snapshot-every N] [--max-edges N] [--window N]
              [--adjacency-horizon N|unbounded (loom only: edges kept in
               the scored neighbourhood; default 64 windows)]
@@ -120,8 +114,6 @@ pub(crate) const STREAM_FLAGS: &[&str] = &[
     "system",
     "workload",
     "batch",
-    "threads",
-    "shards",
     "snapshot-every",
     "max-edges",
     "window",
@@ -204,29 +196,6 @@ fn parse_order(name: &str) -> Result<StreamOrder> {
     })
 }
 
-/// Parse a `--threads` value: a positive count, or `auto` to resolve
-/// the machine's effective parallelism (printed, so runs are
-/// attributable).
-fn parse_threads_flag(flag: Option<String>) -> Result<usize> {
-    match flag.as_deref() {
-        None => Ok(1),
-        Some("auto") => {
-            let n = loom_core::runtime::available_parallelism();
-            eprintln!("--threads auto resolved to {n}");
-            Ok(n)
-        }
-        Some(v) => {
-            let n = v
-                .parse::<usize>()
-                .map_err(|e| format!("bad value for --threads: {e}"))?;
-            if n == 0 {
-                return Err("--threads must be >= 1 (1 = sequential), or 'auto'".into());
-            }
-            Ok(n)
-        }
-    }
-}
-
 fn out_writer(path: Option<String>) -> Result<Box<dyn Write>> {
     Ok(match path {
         Some(p) => Box::new(BufWriter::new(File::create(p)?)),
@@ -283,13 +252,7 @@ fn motifs(args: &Args) -> Result<()> {
     let seed = args.parsed_or("seed", 42u64)?;
     args.finish_against(MOTIFS_FLAGS)?;
 
-    let num_labels = workload
-        .queries()
-        .iter()
-        .flat_map(|(q, _)| q.labels().iter().map(|l| l.index() + 1))
-        .max()
-        .unwrap_or(1)
-        .max(names.len());
+    let num_labels = workload.num_labels().max(names.len());
     let rand = LabelRandomizer::new(num_labels, prime, seed);
     let trie = TpsTrie::build(&workload, &rand);
     let index = trie.motifs(threshold);
@@ -514,17 +477,6 @@ fn build_stream_run(args: &Args, flags: &[&str]) -> Result<StreamRun> {
     if batch == 0 {
         return Err("--batch must be >= 1 (1 = edge-at-a-time)".into());
     }
-    // Ingest worker count. Like --batch, purely a throughput knob:
-    // assignments, stats and snapshots are bit-identical for any value
-    // (tests/parallel_equivalence.rs). "auto" asks the machine.
-    let threads = parse_threads_flag(args.optional("threads"))?;
-    // Shard count for the per-vertex state columns: the third pure
-    // throughput knob, bit-identical for any value
-    // (loom-core/tests/shard_equivalence.rs).
-    let shards = args.parsed_or("shards", 1usize)?;
-    if shards == 0 {
-        return Err("--shards must be >= 1 (1 = the flat layout)".into());
-    }
     let seed = args.parsed_or("seed", 42u64)?;
     let window = args.parsed_or("window", 1_024usize)?;
     let threshold = args.parsed_or("threshold", 0.4f64)?;
@@ -626,7 +578,7 @@ fn build_stream_run(args: &Args, flags: &[&str]) -> Result<StreamRun> {
         .max(
             workload_and_names
                 .as_ref()
-                .map(|(w, names)| workload_max_label(w).max(names.len()))
+                .map(|(w, names)| w.num_labels().max(names.len()))
                 .unwrap_or(0),
         )
         .max(4);
@@ -660,7 +612,7 @@ fn build_stream_run(args: &Args, flags: &[&str]) -> Result<StreamRun> {
         });
     }
 
-    let mut partitioner: Box<dyn StreamPartitioner> = match system.to_ascii_lowercase().as_str() {
+    let partitioner: Box<dyn StreamPartitioner> = match system.to_ascii_lowercase().as_str() {
         "hash" => Box::new(HashPartitioner::new(k, seed)),
         "ldg" => Box::new(LdgPartitioner::new(k, CapacityModel::Adaptive)),
         "fennel" => Box::new(FennelPartitioner::new(
@@ -688,10 +640,6 @@ fn build_stream_run(args: &Args, flags: &[&str]) -> Result<StreamRun> {
         }
         other => return Err(format!("unknown system '{other}'").into()),
     };
-    // Shards before threads: set_shards re-keys the (still empty)
-    // state columns the threaded commit path will own.
-    partitioner.set_shards(shards);
-    partitioner.set_threads(threads);
 
     let mut engine = OnlineEngine::new(
         partitioner,
@@ -712,9 +660,8 @@ fn build_stream_run(args: &Args, flags: &[&str]) -> Result<StreamRun> {
     // Attach or resume the WAL before the first edge flows. The
     // fingerprint covers every quality-affecting knob, so a resume
     // under a different stream definition refuses loudly; the pure
-    // throughput knobs (--batch, --threads, --shards) are deliberately
-    // absent — results are bit-identical for any value, so they may
-    // change across a crash.
+    // throughput knob --batch is deliberately absent — results are
+    // bit-identical for any value, so it may change across a crash.
     let mut resumed_edges = 0u64;
     if let Some(dir) = &wal_dir {
         let backend = loom_core::wal::FileBackend::new(dir)?;
@@ -798,8 +745,8 @@ fn execute_stream_run(run: StreamRun) -> Result<()> {
         out,
         mut last_printed,
     } = run;
-    // A worker panic during a parallel batch surfaces as a clean
-    // engine error naming the batch and the stream-global edge; the
+    // A failed batch (a WAL write error) surfaces as a clean engine
+    // error naming the batch and the stream-global edge; the
     // partitioner's state is unspecified afterwards, so bail before
     // finish() rather than drain a poisoned window. With a WAL
     // attached the failed batch is already durable — `--resume true`
@@ -1118,18 +1065,6 @@ fn print_snapshot(s: &loom_core::engine::Snapshot) {
         ),
         None => String::new(),
     };
-    // Parallel-ingest phase split, only when running with more than
-    // one worker — threads=1 output stays byte-identical to the
-    // sequential builds (ci.sh diffs the two directly).
-    let ingest = match &s.ingest {
-        Some(p) => format!(
-            "  threads {}  probe {:.0}ms commit {:.0}ms",
-            p.threads,
-            p.probe_ns as f64 / 1e6,
-            p.commit_ns as f64 / 1e6
-        ),
-        None => String::new(),
-    };
     // Recovery bookkeeping, present exactly when a WAL is attached —
     // WAL-off output stays byte-identical, and ci.sh verifies a WAL-on
     // run matches after stripping this one segment.
@@ -1155,7 +1090,7 @@ fn print_snapshot(s: &loom_core::engine::Snapshot) {
         None => String::new(),
     };
     println!(
-        "snapshot {:>4}  edges {:>10}  vertices {:>9}  capacity {:>12.1}  imbalance {:>5.1}%  cut {:>5.1}% ({}/{}){}{}{}{}{}{}",
+        "snapshot {:>4}  edges {:>10}  vertices {:>9}  capacity {:>12.1}  imbalance {:>5.1}%  cut {:>5.1}% ({}/{}){}{}{}{}{}",
         s.seq,
         s.edges,
         s.vertices,
@@ -1167,7 +1102,6 @@ fn print_snapshot(s: &loom_core::engine::Snapshot) {
         ipt,
         arena,
         adjacency,
-        ingest,
         wal,
         serving,
     );
@@ -1205,15 +1139,6 @@ impl loom_core::graph::EdgeSource for ClampLabels {
     fn num_labels(&self) -> usize {
         self.alphabet
     }
-}
-
-/// Smallest alphabet size covering every label a workload mentions.
-fn workload_max_label(w: &Workload) -> usize {
-    w.queries()
-        .iter()
-        .flat_map(|(q, _)| q.labels().iter().map(|l| l.index() + 1))
-        .max()
-        .unwrap_or(1)
 }
 
 /// Write `vertex<TAB>partition` rows without a graph (the online path

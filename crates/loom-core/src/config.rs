@@ -50,16 +50,6 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Per-query match cap for ipt counting (identical across systems).
     pub limit_per_query: usize,
-    /// Worker count for batch ingest (1 = fully sequential, the
-    /// default). Results are bit-identical for any value — parallelism
-    /// only fans out the pure probe phase of the ingest pipeline
-    /// (DESIGN.md §13) — so this is purely a throughput knob, like
-    /// [`crate::pipeline::DEFAULT_BATCH`].
-    pub threads: usize,
-    /// Shard count for the per-vertex state columns (1 = the flat
-    /// layout, the default). Like `threads`, a pure layout/throughput
-    /// knob: results are bit-identical for any value (DESIGN.md §14).
-    pub shards: usize,
 }
 
 impl ExperimentConfig {
@@ -81,8 +71,6 @@ impl ExperimentConfig {
             support_threshold: 0.4,
             seed: 42,
             limit_per_query: 200_000,
-            threads: 1,
-            shards: 1,
         }
     }
 }

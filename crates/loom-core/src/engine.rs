@@ -20,9 +20,7 @@ use crate::persist::{decode_edges_record, encode_edges_record, RecoveryStats, Wa
 use crate::serve::{ServeHandle, ServeOptions, ServeState};
 use loom_graph::{EdgeSource, LabeledGraph, StreamEdge, Workload};
 use loom_matcher::ArenaOccupancy;
-use loom_partition::{
-    AdjacencyOccupancy, Assignment, IngestPhases, PartitionState, StreamPartitioner,
-};
+use loom_partition::{AdjacencyOccupancy, Assignment, PartitionState, StreamPartitioner};
 use loom_query::count_ipt;
 use loom_runtime::ServeStats;
 use loom_wal::{
@@ -31,10 +29,11 @@ use loom_wal::{
 };
 use std::collections::VecDeque;
 
-/// A fatal ingest failure: a worker panicked while probing an edge of
-/// a parallel batch. The engine names the batch and the stream-global
-/// edge so the failure is reproducible; the run is abandoned (the
-/// partitioner's state after an error is unspecified).
+/// A fatal ingest failure: the partitioner failed a batch
+/// ([`loom_partition::IngestError`]) or the WAL could not be written.
+/// The engine names the batch and the stream-global edge so the
+/// failure is reproducible; the run is abandoned (the partitioner's
+/// state after an error is unspecified).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineError {
     /// 1-based ordinal of the failing batch (as handed to the
@@ -42,7 +41,7 @@ pub struct EngineError {
     pub batch: u64,
     /// 0-based stream-global index of the failing edge.
     pub edge_index: u64,
-    /// The worker's panic message.
+    /// What went wrong.
     pub message: String,
 }
 
@@ -131,12 +130,6 @@ pub struct Snapshot {
     /// [`Snapshot::arena`] for the other stream-length-proportional
     /// store retention bounds (DESIGN.md §11).
     pub adjacency: Option<AdjacencyOccupancy>,
-    /// Worker count and per-phase wall-time (parallel probe vs
-    /// sequential commit) of the partitioner's ingest pipeline, when
-    /// it runs with more than one worker. `None` single-threaded, so
-    /// every threads=1 consumer's output stays byte-identical to the
-    /// sequential builds.
-    pub ingest: Option<IngestPhases>,
     /// WAL bookkeeping (checkpoints written, edges replayed, journal
     /// bytes) when crash recovery is attached; `None` otherwise, so
     /// WAL-off output carries no trace of the recovery machinery.
@@ -384,22 +377,23 @@ impl OnlineEngine {
     /// snapshot's `settle`, which drains everything resolved either
     /// way).
     ///
-    /// `Err` means a worker panicked probing an edge of a parallel
-    /// batch ([`loom_partition::IngestError`]): the error names the
-    /// batch and the stream-global edge, and the run must be
-    /// abandoned. Sequential ingest (threads = 1) cannot fail.
+    /// `Err` means the partitioner failed an edge of the batch
+    /// ([`loom_partition::IngestError`]) or the WAL could not be
+    /// written: the error names the batch and the stream-global edge,
+    /// and the run must be abandoned. None of the shipped
+    /// partitioners fails a batch.
     pub fn ingest_batch(
         &mut self,
         edges: &[StreamEdge],
         mut on_snapshot: impl FnMut(&Snapshot),
     ) -> Result<(), EngineError> {
         // WAL hook, FIRST: the whole incoming batch is journaled and
-        // flushed before any edge reaches the partitioner. An ingest
-        // failure mid-batch (a worker panic) therefore leaves every
-        // edge up to and including the failing one durable, so a
-        // post-mortem `--resume` replays the stream to exactly the
-        // failure point. Already-journaled edges (replay) are skipped
-        // by the stream-index guard inside.
+        // flushed before any edge reaches the partitioner. A batch the
+        // partitioner fails therefore leaves every edge up to and
+        // including the failing one durable, so a post-mortem
+        // `--resume` replays the stream to exactly the failure point.
+        // Already-journaled edges (replay) are skipped by the
+        // stream-index guard inside.
         if self.wal.is_some() {
             self.journal_edges(edges)
                 .map_err(|e| self.wal_engine_error(e))?;
@@ -475,7 +469,7 @@ impl OnlineEngine {
     /// `None` for infinite sources). Pulls and ingests in batches of
     /// [`EngineConfig::batch_size`] when one is configured.
     ///
-    /// `Err` propagates a worker panic from a parallel batch (see
+    /// `Err` propagates a failed batch (see
     /// [`OnlineEngine::ingest_batch`]); the edge-at-a-time path cannot
     /// fail.
     pub fn run<S: EdgeSource + ?Sized>(
@@ -553,7 +547,6 @@ impl OnlineEngine {
             .map(|p| p.measure(&state.to_assignment()));
         let arena = self.partitioner.arena();
         let adjacency = self.partitioner.adjacency();
-        let ingest = self.partitioner.ingest_phases();
         Snapshot {
             seq: self.seq,
             edges: self.edges,
@@ -566,7 +559,6 @@ impl OnlineEngine {
             weighted_ipt,
             arena,
             adjacency,
-            ingest,
             recovery: self.wal.as_ref().map(|w| w.stats()),
             serving: self.serve.as_ref().map(|s| s.metrics.stats()),
         }
@@ -633,7 +625,7 @@ impl OnlineEngine {
 
     /// Recover from a WAL left by a crashed (or stopped) run and keep
     /// logging to it. The engine must be freshly constructed with the
-    /// same configuration — partitioner, shards, threads, cadences —
+    /// same configuration — partitioner and cadences —
     /// as the one that wrote the WAL; `fingerprint` encodes that
     /// configuration and is checked against the checkpoint before any
     /// state is touched.

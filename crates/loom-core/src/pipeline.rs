@@ -87,7 +87,7 @@ pub fn make_partitioner_with_capacity(
     num_labels: usize,
     workload: &Workload,
 ) -> Box<dyn StreamPartitioner> {
-    let mut p: Box<dyn StreamPartitioner> = match system {
+    match system {
         System::Hash => Box::new(HashPartitioner::new(config.k, config.seed)),
         System::Ldg => Box::new(LdgPartitioner::new(config.k, capacity)),
         System::Fennel => Box::new(FennelPartitioner::new(
@@ -110,12 +110,7 @@ pub fn make_partitioner_with_capacity(
             };
             Box::new(LoomPartitioner::new(&loom_cfg, workload, num_labels))
         }
-    };
-    // Shards before threads: set_shards requires a pre-ingest store
-    // and re-keys the columns the threaded commit path will own.
-    p.set_shards(config.shards.max(1));
-    p.set_threads(config.threads.max(1));
-    p
+    }
 }
 
 /// Construct one of the four partitioners for a materialised stream —

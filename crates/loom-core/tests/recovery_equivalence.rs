@@ -11,8 +11,8 @@
 //! exhaustive journal truncation and bit-flip sweeps (checksummed-
 //! prefix recovery or a loud failure naming the record, never a
 //! silently wrong state), short writes from a failing device, and a
-//! worker panic mid-ingest whose journal flush makes the failure point
-//! itself durable.
+//! partitioner failing mid-batch, whose journal flush makes the
+//! failure point itself durable.
 //!
 //! Bit-identity is judged by [`OnlineEngine::state_digest`] — the
 //! serialized engine + partitioner state, dead entries and all — plus
@@ -21,12 +21,14 @@
 
 use loom_core::engine::{EngineConfig, OnlineEngine, Snapshot};
 use loom_core::wal::{
-    list_checkpoints, FaultPlan, FaultyBackend, MemBackend, StorageBackend, WalError, JOURNAL_FILE,
+    list_checkpoints, ByteWriter, FaultPlan, FaultyBackend, MemBackend, StorageBackend, WalError,
+    JOURNAL_FILE,
 };
 use loom_graph::{EdgeId, EdgeSource, Label, PatternGraph, StreamEdge, VertexId, Workload};
 use loom_partition::{
-    AdjacencyHorizon, CapacityModel, EoParams, FennelParams, FennelPartitioner, HashPartitioner,
-    LdgPartitioner, LoomConfig, LoomPartitioner, StreamPartitioner,
+    AdjacencyHorizon, Assignment, CapacityModel, EoParams, FennelParams, FennelPartitioner,
+    HashPartitioner, IngestError, LdgPartitioner, LoomConfig, LoomPartitioner, PartitionState,
+    StreamPartitioner,
 };
 use rand::Rng;
 use rand::SeedableRng;
@@ -36,7 +38,7 @@ const B: Label = Label(1);
 const C: Label = Label(2);
 
 /// The config fingerprint every test stamps into its WAL.
-const FP: &str = "system=Loom k=3 seed=7 window=16 shards=* test=recovery";
+const FP: &str = "system=Loom k=3 seed=7 window=16 test=recovery";
 
 /// The equivalence suites' adversarial shape: shuffled a–b–c chains,
 /// hub→b edges, and non-motif c–c bypass edges.
@@ -113,9 +115,9 @@ impl EdgeSource for VecSource {
     }
 }
 
-/// Snapshot equality in every quality digit. `ingest` (wall-clock
-/// timings) and `recovery` (WAL bookkeeping) are observability, not
-/// state, and are deliberately not compared.
+/// Snapshot equality in every quality digit. `recovery` (WAL
+/// bookkeeping) is observability, not state, and is deliberately not
+/// compared.
 fn assert_snap_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
     assert_eq!(a.seq, b.seq, "{ctx}: seq");
     assert_eq!(a.edges, b.edges, "{ctx}: edges");
@@ -199,8 +201,7 @@ fn kill_and_resume(
     }
 }
 
-/// The headline matrix: Loom across shards {1, 4} × threads {1, 4} ×
-/// batch {1, 256}, each killed exactly at a checkpoint boundary, one
+/// The headline matrix: Loom at batch {1, 256}, each killed exactly at a checkpoint boundary, one
 /// edge past it, mid-batch, and after pruning has dropped the early
 /// checkpoints — every resumed run bit-identical to the uninterrupted
 /// twin in state digest, snapshot sequence, and final assignment.
@@ -210,80 +211,68 @@ fn loom_kill_resume_matrix_is_bit_identical() {
     let n = edges.len() as u64;
     let (ckpt_every, cadence) = (500u64, 150usize);
     let max_v = edges.iter().flat_map(|e| [e.src.0, e.dst.0]).max().unwrap();
-    for shards in [1usize, 4] {
-        for threads in [1usize, 4] {
-            for batch in [1usize, 256] {
-                let make = || -> Box<dyn StreamPartitioner> {
-                    let mut p = loom(3, 16, 96, &workload);
-                    p.set_shards(shards);
-                    p.set_threads(threads);
-                    Box::new(p)
-                };
-                // Uninterrupted reference, WAL attached so both runs
-                // take the identical ingest path.
-                let mut reference = engine_with(make(), batch, cadence);
-                reference
-                    .attach_wal(Box::new(MemBackend::new()), ckpt_every, FP)
-                    .unwrap();
-                let mut ref_snaps = Vec::new();
-                reference
-                    .run(&mut VecSource::new(&edges), None, |s| {
-                        ref_snaps.push(s.clone())
-                    })
-                    .unwrap();
-                let ref_digest = reference.state_digest().unwrap();
-                let ref_fin = reference.finish();
-                let ref_assignment = reference.into_assignment();
+    for batch in [1usize, 256] {
+        let make = || -> Box<dyn StreamPartitioner> { Box::new(loom(3, 16, 96, &workload)) };
+        // Uninterrupted reference, WAL attached so both runs
+        // take the identical ingest path.
+        let mut reference = engine_with(make(), batch, cadence);
+        reference
+            .attach_wal(Box::new(MemBackend::new()), ckpt_every, FP)
+            .unwrap();
+        let mut ref_snaps = Vec::new();
+        reference
+            .run(&mut VecSource::new(&edges), None, |s| {
+                ref_snaps.push(s.clone())
+            })
+            .unwrap();
+        let ref_digest = reference.state_digest().unwrap();
+        let ref_fin = reference.finish();
+        let ref_assignment = reference.into_assignment();
 
-                for kill in [ckpt_every, ckpt_every + 1, 777, 1950] {
-                    assert!(kill < n, "kill point must interrupt the stream");
-                    let ctx =
-                        format!("shards {shards}, threads {threads}, batch {batch}, kill {kill}");
-                    let run = kill_and_resume(&edges, &make, batch, cadence, ckpt_every, kill);
-                    assert_eq!(run.durable, kill, "{ctx}: every fed edge was durable");
+        for kill in [ckpt_every, ckpt_every + 1, 777, 1950] {
+            assert!(kill < n, "kill point must interrupt the stream");
+            let ctx = format!("batch {batch}, kill {kill}");
+            let run = kill_and_resume(&edges, &make, batch, cadence, ckpt_every, kill);
+            assert_eq!(run.durable, kill, "{ctx}: every fed edge was durable");
 
-                    // Recovery observability: replay spans newest
-                    // checkpoint -> durable.
-                    let newest_ckpt = kill / ckpt_every * ckpt_every;
-                    let stats = run.engine.recovery_stats().expect("wal attached");
-                    assert_eq!(stats.replayed_edges, kill - newest_ckpt, "{ctx}: replayed");
-                    assert!(stats.journal_bytes > 0, "{ctx}: journal bytes reported");
+            // Recovery observability: replay spans newest
+            // checkpoint -> durable.
+            let newest_ckpt = kill / ckpt_every * ckpt_every;
+            let stats = run.engine.recovery_stats().expect("wal attached");
+            assert_eq!(stats.replayed_edges, kill - newest_ckpt, "{ctx}: replayed");
+            assert!(stats.journal_bytes > 0, "{ctx}: journal bytes reported");
 
-                    // Bit-identity: full recoverable state...
-                    assert_eq!(
-                        run.engine.state_digest().unwrap(),
-                        ref_digest,
-                        "{ctx}: state digest diverged"
-                    );
-                    // ...every re-fired and post-resume snapshot,
-                    // matched by seq against the uninterrupted run...
-                    assert_eq!(
-                        run.snaps.last().map(|s| s.seq),
-                        ref_snaps.last().map(|s| s.seq),
-                        "{ctx}: snapshot sequence ends at the same seq"
-                    );
-                    for s in &run.snaps {
-                        let twin = ref_snaps
-                            .iter()
-                            .find(|r| r.seq == s.seq)
-                            .unwrap_or_else(|| {
-                                panic!("{ctx}: no reference snapshot seq {}", s.seq)
-                            });
-                        assert_snap_eq(s, twin, &ctx);
-                    }
-                    // ...and the final assignment after the drain.
-                    let mut resumed = run.engine;
-                    let fin = resumed.finish();
-                    assert_snap_eq(&fin, &ref_fin, &format!("{ctx}, final"));
-                    let assignment = resumed.into_assignment();
-                    for v in 0..=max_v {
-                        assert_eq!(
-                            ref_assignment.partition_of(VertexId(v)),
-                            assignment.partition_of(VertexId(v)),
-                            "{ctx}: assignment diverged at vertex {v}"
-                        );
-                    }
-                }
+            // Bit-identity: full recoverable state...
+            assert_eq!(
+                run.engine.state_digest().unwrap(),
+                ref_digest,
+                "{ctx}: state digest diverged"
+            );
+            // ...every re-fired and post-resume snapshot,
+            // matched by seq against the uninterrupted run...
+            assert_eq!(
+                run.snaps.last().map(|s| s.seq),
+                ref_snaps.last().map(|s| s.seq),
+                "{ctx}: snapshot sequence ends at the same seq"
+            );
+            for s in &run.snaps {
+                let twin = ref_snaps
+                    .iter()
+                    .find(|r| r.seq == s.seq)
+                    .unwrap_or_else(|| panic!("{ctx}: no reference snapshot seq {}", s.seq));
+                assert_snap_eq(s, twin, &ctx);
+            }
+            // ...and the final assignment after the drain.
+            let mut resumed = run.engine;
+            let fin = resumed.finish();
+            assert_snap_eq(&fin, &ref_fin, &format!("{ctx}, final"));
+            let assignment = resumed.into_assignment();
+            for v in 0..=max_v {
+                assert_eq!(
+                    ref_assignment.partition_of(VertexId(v)),
+                    assignment.partition_of(VertexId(v)),
+                    "{ctx}: assignment diverged at vertex {v}"
+                );
             }
         }
     }
@@ -301,12 +290,7 @@ fn baseline_partitioners_kill_resume_spot_checks() {
     let systems: Vec<(&str, MakePartitioner)> = vec![
         (
             "Hash",
-            Box::new(|| -> Box<dyn StreamPartitioner> {
-                let mut p = HashPartitioner::new(4, 3);
-                p.set_shards(4);
-                p.set_threads(4);
-                Box::new(p)
-            }),
+            Box::new(|| -> Box<dyn StreamPartitioner> { Box::new(HashPartitioner::new(4, 3)) }),
         ),
         (
             "LDG",
@@ -589,18 +573,61 @@ fn short_write_fails_loudly_then_recovers() {
     );
 }
 
-/// Satellite: a worker panic mid-batch bails *after* the journal
+/// Loom that fails the batch holding edge `fail_at`: the edges before
+/// it commit, then `try_on_batch` returns `Err` naming its offset —
+/// the shape of any partitioner failing mid-batch.
+struct FailAt {
+    inner: LoomPartitioner,
+    fail_at: EdgeId,
+}
+
+impl StreamPartitioner for FailAt {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn on_edge(&mut self, e: &StreamEdge) {
+        self.inner.on_edge(e);
+    }
+
+    fn try_on_batch(&mut self, batch: &[StreamEdge]) -> Result<(), IngestError> {
+        match batch.iter().position(|e| e.id == self.fail_at) {
+            None => self.inner.try_on_batch(batch),
+            Some(offset) => {
+                self.inner.on_batch(&batch[..offset]);
+                Err(IngestError {
+                    edge_offset: offset,
+                    message: "injected failure".into(),
+                })
+            }
+        }
+    }
+
+    fn finish(&mut self) {
+        self.inner.finish();
+    }
+
+    fn state(&self) -> &PartitionState {
+        self.inner.state()
+    }
+
+    fn save_state(&self, w: &mut ByteWriter) -> Result<(), WalError> {
+        self.inner.save_state(w)
+    }
+
+    fn into_assignment(self: Box<Self>) -> Assignment {
+        Box::new(self.inner).into_assignment()
+    }
+}
+
+/// Satellite: a batch the partitioner fails bails *after* the journal
 /// flush, so post-error resume replays the stream up to and including
 /// the batch that failed — and, with the fault gone, completes
 /// bit-identically to a run that never failed.
 #[test]
 fn error_path_flushes_journal_before_bailing() {
     let (edges, workload) = hub_stream(100, 0xe404);
-    let make_clean = || -> Box<dyn StreamPartitioner> {
-        let mut p = loom(3, 12, 64, &workload);
-        p.set_threads(4);
-        Box::new(p)
-    };
+    let make_clean = || -> Box<dyn StreamPartitioner> { Box::new(loom(3, 12, 64, &workload)) };
 
     let mut reference = engine_with(make_clean(), 50, 120);
     reference
@@ -613,12 +640,10 @@ fn error_path_flushes_journal_before_bailing() {
 
     let backend = MemBackend::new();
     let mut victim = engine_with(
-        {
-            let mut p = loom(3, 12, 64, &workload);
-            p.set_threads(4);
-            p.inject_probe_panic_at(EdgeId(137));
-            Box::<LoomPartitioner>::new(p)
-        },
+        Box::new(FailAt {
+            inner: loom(3, 12, 64, &workload),
+            fail_at: EdgeId(137),
+        }),
         50,
         120,
     );
@@ -627,14 +652,14 @@ fn error_path_flushes_journal_before_bailing() {
         .unwrap();
     let err = victim
         .run(&mut VecSource::new(&edges), None, |_| {})
-        .expect_err("injected panic must propagate");
+        .expect_err("injected failure must propagate");
     assert_eq!(err.edge_index, 137, "failure names the stream edge");
     let ingested = victim.edges_ingested();
     assert!(ingested < 137, "the failing batch never committed");
     drop(victim); // crash after the error
 
     // The journal is ahead of the committed state: the whole failing
-    // batch (including edge 137) was flushed before the probe ran.
+    // batch (including edge 137) was flushed before it was ingested.
     let mut resumed = engine_with(make_clean(), 50, 120);
     let durable = resumed
         .resume_from_wal(Box::new(backend.clone()), 128, FP, |_| {})

@@ -5,9 +5,8 @@
 //! must be bit-identical to its serving-off twin in every recoverable
 //! respect: the complete snapshot sequence (all fields except
 //! `serving` itself), every vertex assignment, and the engine state
-//! digest. Checked across the threads × shards cross, because the
-//! serve hook sits on the same commit boundary the parallel and
-//! sharded pipelines synchronise on.
+//! digest. Checked edge-at-a-time and batched, because the serve
+//! hook runs once per ingest call.
 //!
 //! Readers double as the monotonicity oracle: the epoch and edge
 //! count of loaded views must never decrease, and every well-formed
@@ -16,9 +15,7 @@
 use loom_core::engine::{EngineConfig, OnlineEngine, Snapshot};
 use loom_core::ServeOptions;
 use loom_graph::{EdgeId, EdgeSource, Label, PatternGraph, StreamEdge, VertexId, Workload};
-use loom_partition::{
-    AdjacencyHorizon, CapacityModel, EoParams, LoomConfig, LoomPartitioner, StreamPartitioner,
-};
+use loom_partition::{AdjacencyHorizon, CapacityModel, EoParams, LoomConfig, LoomPartitioner};
 use loom_query::{handle_request, ReadView};
 use loom_runtime::EpochCell;
 use rand::Rng;
@@ -63,7 +60,7 @@ fn hub_stream(n_chains: usize, seed: u64) -> (Vec<StreamEdge>, Workload) {
     (stream, workload)
 }
 
-fn loom_partitioner(workload: &Workload, threads: usize, shards: usize) -> Box<LoomPartitioner> {
+fn loom_partitioner(workload: &Workload) -> Box<LoomPartitioner> {
     let config = LoomConfig {
         k: 4,
         window_size: 16,
@@ -76,18 +73,15 @@ fn loom_partitioner(workload: &Workload, threads: usize, shards: usize) -> Box<L
         allocation: Default::default(),
         adjacency_horizon: AdjacencyHorizon::Edges(96),
     };
-    let mut p = Box::new(LoomPartitioner::new(&config, workload, 3));
-    p.set_shards(shards);
-    p.set_threads(threads);
-    p
+    Box::new(LoomPartitioner::new(&config, workload, 3))
 }
 
-fn engine(workload: &Workload, threads: usize, shards: usize) -> OnlineEngine {
+fn engine(workload: &Workload, batch_size: usize) -> OnlineEngine {
     OnlineEngine::new(
-        loom_partitioner(workload, threads, shards),
+        loom_partitioner(workload),
         EngineConfig {
             snapshot_every: 512,
-            batch_size: 64,
+            batch_size,
             ..EngineConfig::default()
         },
     )
@@ -189,22 +183,22 @@ fn spawn_reader(
     })
 }
 
-/// The acceptance cross: threads {1, 4} × shards {1, 4}, each cell's
+/// The acceptance check, edge-at-a-time and at batch 64: each
 /// serving-on run (3 concurrent readers hammering published views the
-/// whole time) bit-identical to its serving-off twin.
+/// whole time) is bit-identical to its serving-off twin.
 #[test]
-fn serving_on_is_bit_identical_to_serving_off_across_threads_and_shards() {
+fn serving_on_is_bit_identical_to_serving_off_across_batch_sizes() {
     let (edges, workload) = hub_stream(1_200, 0x5e12e);
-    for (threads, shards) in [(1usize, 1usize), (4, 1), (1, 4), (4, 4)] {
-        let ctx = format!("threads={threads} shards={shards}");
+    for batch in [1usize, 64] {
+        let ctx = format!("batch={batch}");
 
-        let mut off = engine(&workload, threads, shards);
+        let mut off = engine(&workload, batch);
         let mut off_snaps = Vec::new();
         off.run(&mut source(&edges), None, |s| off_snaps.push(s.clone()))
             .expect("serving-off run");
         let off_fin = off.finish();
 
-        let mut on = engine(&workload, threads, shards);
+        let mut on = engine(&workload, batch);
         let handle = on.enable_serving(ServeOptions {
             horizon_edges: 4_096,
             publish_every: 256,
@@ -256,7 +250,7 @@ fn serving_on_is_bit_identical_to_serving_off_across_threads_and_shards() {
 #[test]
 fn final_view_matches_final_assignment() {
     let (edges, workload) = hub_stream(400, 0xf17a1);
-    let mut eng = engine(&workload, 1, 1);
+    let mut eng = engine(&workload, 64);
     let handle = eng.enable_serving(ServeOptions {
         horizon_edges: 2_048,
         publish_every: 512,
@@ -289,11 +283,11 @@ fn malformed_requests_err_cleanly_and_never_perturb_ingest() {
     let (edges, workload) = hub_stream(300, 0xbad);
     let half = edges.len() / 2;
 
-    let mut twin = engine(&workload, 1, 1);
+    let mut twin = engine(&workload, 64);
     twin.run(&mut source(&edges), None, |_| {}).expect("twin");
     twin.finish();
 
-    let mut eng = engine(&workload, 1, 1);
+    let mut eng = engine(&workload, 64);
     let handle = eng.enable_serving(ServeOptions {
         horizon_edges: 1_024,
         publish_every: 128,

@@ -56,6 +56,16 @@ impl Workload {
         self.queries[i].1 / self.total_frequency()
     }
 
+    /// Smallest label alphabet covering every label the queries
+    /// mention: one past the largest label index.
+    pub fn num_labels(&self) -> usize {
+        self.queries
+            .iter()
+            .flat_map(|(q, _)| q.labels().iter().map(|l| l.index() + 1))
+            .max()
+            .unwrap_or(1)
+    }
+
     /// Largest query size `|E_q|` — bounds signature sizes (§2.3).
     pub fn max_query_edges(&self) -> usize {
         self.queries

@@ -6,41 +6,14 @@
 //! Hash's on the same dataset.
 
 use crate::state::{Assignment, CapacityModel, PartitionState};
-use crate::traits::{IngestError, IngestPhases, StreamPartitioner};
+use crate::traits::StreamPartitioner;
 use loom_graph::{PartitionId, StreamEdge, VertexId};
-use loom_runtime::WorkerPool;
 
 /// Hash partitioner: `partition(v) = hash(v) mod k`.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct HashPartitioner {
     state: PartitionState,
     seed: u64,
-    /// Worker count for batch ingest (1 = fully sequential). The hash
-    /// itself is a pure per-vertex function, so the fan-out shards the
-    /// target computation and only the first-seen assignment walk
-    /// stays sequential.
-    threads: usize,
-    pool: Option<WorkerPool>,
-    /// Per-batch `(target(src), target(dst))`, index-aligned with the
-    /// batch; reused across batches.
-    targets: Vec<(PartitionId, PartitionId)>,
-    probe_ns: u64,
-    commit_ns: u64,
-}
-
-impl Clone for HashPartitioner {
-    fn clone(&self) -> Self {
-        HashPartitioner {
-            state: self.state.clone(),
-            seed: self.seed,
-            threads: self.threads,
-            // The pool holds OS threads; a clone builds its own lazily.
-            pool: None,
-            targets: Vec::new(),
-            probe_ns: self.probe_ns,
-            commit_ns: self.commit_ns,
-        }
-    }
 }
 
 impl HashPartitioner {
@@ -54,40 +27,13 @@ impl HashPartitioner {
             // is exact for both known and unbounded streams.
             state: PartitionState::new(k, CapacityModel::Adaptive, 1.1),
             seed,
-            threads: 1,
-            pool: None,
-            targets: Vec::new(),
-            probe_ns: 0,
-            commit_ns: 0,
         }
     }
 
     fn target(&self, v: VertexId) -> PartitionId {
-        target_of(self.state.k(), self.seed, v)
+        PartitionId((splitmix64(v.0 as u64 ^ self.seed) % self.state.k() as u64) as u32)
     }
 }
-
-/// The placement rule as a free function of `(k, seed)`, so the
-/// parallel fan-out can compute targets without borrowing the
-/// partitioner.
-fn target_of(k: usize, seed: u64, v: VertexId) -> PartitionId {
-    PartitionId((splitmix64(v.0 as u64 ^ seed) % k as u64) as u32)
-}
-
-/// Raw cursor into the target array, shared across workers. Chunks
-/// tile the batch without overlap and the pool joins the job before
-/// `run` returns, so every slot has exactly one writer within the
-/// buffer's lifetime.
-#[derive(Clone, Copy)]
-struct TargetPtr(*mut (PartitionId, PartitionId));
-
-unsafe impl Send for TargetPtr {}
-unsafe impl Sync for TargetPtr {}
-
-/// Edges per fan-out chunk. Hashing is uniform and cheap, so chunks
-/// are larger than Loom's probe chunks — the claim overhead dominates
-/// otherwise.
-const HASH_CHUNK: usize = 256;
 
 /// SplitMix64 finaliser — a cheap, well-mixed integer hash.
 fn splitmix64(mut x: u64) -> u64 {
@@ -111,122 +57,6 @@ impl StreamPartitioner for HashPartitioner {
         }
     }
 
-    fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        if threads != self.threads {
-            self.threads = threads;
-            self.pool = None;
-        }
-    }
-
-    fn set_shards(&mut self, shards: usize) {
-        self.state.set_shards(shards);
-    }
-
-    fn try_on_batch(&mut self, batch: &[StreamEdge]) -> Result<(), IngestError> {
-        if self.threads <= 1 || batch.len() < 2 {
-            self.on_batch(batch);
-            return Ok(());
-        }
-        let t_probe = std::time::Instant::now();
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(self.threads));
-        }
-        if self.targets.len() < batch.len() {
-            self.targets
-                .resize(batch.len(), (PartitionId(0), PartitionId(0)));
-        }
-        let chunks = batch.len().div_ceil(HASH_CHUNK);
-        let slots = TargetPtr(self.targets.as_mut_ptr());
-        let (k, seed) = (self.state.k(), self.seed);
-        let task = |ci: usize| {
-            // Rebind so the closure captures the `Sync` wrapper, not
-            // the raw pointer field (edition-2021 disjoint capture).
-            #[allow(clippy::redundant_locals)]
-            let slots = slots;
-            let lo = ci * HASH_CHUNK;
-            let hi = batch.len().min(lo + HASH_CHUNK);
-            for (i, e) in batch[lo..hi].iter().enumerate().map(|(j, e)| (lo + j, e)) {
-                let t = (target_of(k, seed, e.src), target_of(k, seed, e.dst));
-                // SAFETY: slot `i` belongs to chunk `ci` alone; see
-                // `TargetPtr`.
-                unsafe { *slots.0.add(i) = t };
-            }
-        };
-        let fanout = self
-            .pool
-            .as_ref()
-            .expect("pool built above")
-            .run(chunks, &task);
-        self.probe_ns += t_probe.elapsed().as_nanos() as u64;
-        if let Err(p) = fanout {
-            return Err(IngestError {
-                edge_offset: p.chunk * HASH_CHUNK,
-                message: p.message,
-            });
-        }
-
-        let t_commit = std::time::Instant::now();
-        if self.state.shards() > 1 {
-            // Shard-parallel commit: the hash target is a pure
-            // function of the vertex id and first-seen-wins is decided
-            // per vertex, so each shard task can walk the whole batch
-            // in arrival order claiming only the endpoints it owns —
-            // exactly the edges the sequential walk would have
-            // assigned, in the same order, with no cross-shard writes.
-            let targets = &self.targets[..batch.len()];
-            let pool = self.pool.as_ref().expect("pool built above");
-            // Pre-grow the flat column to what the sequential walk
-            // would have left behind: one past the largest endpoint
-            // (every endpoint gets assigned, so the lengths match).
-            let extent = batch
-                .iter()
-                .map(|e| e.src.0.max(e.dst.0) as usize + 1)
-                .max()
-                .unwrap_or(0);
-            let result = self.state.commit_shards_parallel(pool, extent, &|sc| {
-                for (e, &(ps, pd)) in batch.iter().zip(targets) {
-                    if sc.owns(e.src) && !sc.is_assigned(e.src) {
-                        sc.assign(e.src, ps);
-                    }
-                    if sc.owns(e.dst) && !sc.is_assigned(e.dst) {
-                        sc.assign(e.dst, pd);
-                    }
-                }
-            });
-            self.commit_ns += t_commit.elapsed().as_nanos() as u64;
-            return result.map_err(|p| IngestError {
-                // A shard task walks the whole batch, so the panic
-                // cannot be pinned to one edge offset; report the
-                // batch start and name the shard in the message.
-                edge_offset: 0,
-                message: format!("commit shard {}: {}", p.chunk, p.message),
-            });
-        }
-
-        // First-seen wins, so the assignment walk stays sequential in
-        // arrival order — bit-identical to `on_edge` per edge.
-        for (i, e) in batch.iter().enumerate() {
-            let (ps, pd) = self.targets[i];
-            if !self.state.is_assigned(e.src) {
-                self.state.assign(e.src, ps);
-            }
-            if !self.state.is_assigned(e.dst) {
-                self.state.assign(e.dst, pd);
-            }
-        }
-        self.commit_ns += t_commit.elapsed().as_nanos() as u64;
-        Ok(())
-    }
-
-    fn ingest_phases(&self) -> Option<IngestPhases> {
-        (self.threads > 1).then_some(IngestPhases {
-            threads: self.threads,
-            probe_ns: self.probe_ns,
-            commit_ns: self.commit_ns,
-        })
-    }
-
     fn finish(&mut self) {}
 
     fn state(&self) -> &PartitionState {
@@ -234,18 +64,14 @@ impl StreamPartitioner for HashPartitioner {
     }
 
     /// Hash placement is a pure per-vertex function of the seed, so
-    /// the partition columns are the whole recoverable state. Timing
-    /// counters restart at zero on load (observability, not state).
+    /// the partition columns are the whole recoverable state.
     fn save_state(&self, w: &mut loom_wal::ByteWriter) -> Result<(), loom_wal::WalError> {
         self.state.wal_save(w);
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut loom_wal::ByteReader) -> Result<(), loom_wal::WalError> {
-        self.state.wal_load(r)?;
-        self.probe_ns = 0;
-        self.commit_ns = 0;
-        Ok(())
+        self.state.wal_load(r)
     }
 
     fn into_assignment(self: Box<Self>) -> Assignment {

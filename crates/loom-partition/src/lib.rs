@@ -15,7 +15,6 @@ pub mod ldg;
 pub mod loom;
 pub mod metrics;
 pub mod restream;
-pub mod shard;
 pub mod state;
 pub mod taper;
 pub mod traits;
@@ -30,10 +29,9 @@ pub use ldg::{choose_weighted, ldg_choose, LdgPartitioner};
 pub use loom::{AllocationPolicy, LoomConfig, LoomPartitioner, LoomStats, PhaseBreakdown};
 pub use metrics::PartitionMetrics;
 pub use restream::{restream_pass, restreamed_ldg};
-pub use shard::{ShardMap, ShardOccupancy};
 pub use state::{
     AdjacencyHorizon, AdjacencyOccupancy, Assignment, CapacityModel, NeighborCounts,
-    OnlineAdjacency, PartitionState, ShardCommit,
+    OnlineAdjacency, PartitionState,
 };
 pub use taper::{taper_refine, weighted_cut, RefinementResult, TraversalWeights};
 pub use traits::{partition_stream, run_partitioner, IngestError, IngestPhases, StreamPartitioner};

@@ -15,22 +15,12 @@
 //! ([`CapacityModel::Adaptive`]) so the residual/rationing terms stay
 //! meaningful when nobody knows `n`.
 
-use crate::shard::{ShardMap, ShardOccupancy};
 use loom_graph::{PartitionId, StreamEdge, VertexId};
-use loom_runtime::{ChunkPanic, WorkerPool};
 use loom_wal::{ByteReader, ByteWriter, WalError};
 use std::collections::VecDeque;
 
 /// Sentinel for "not yet assigned".
 const UNASSIGNED: u32 = u32::MAX;
-
-/// Warm-up slack for per-shard extent estimation (DESIGN.md §14): a
-/// shard that owns fewer registered slots than this projects this many
-/// instead — so the early stream, where per-shard extents are all
-/// noise, never reports a collapsed estimate. Purely an observability
-/// constant: it never feeds a placement decision, so it cannot perturb
-/// results.
-const SHARD_WARMUP_SLOTS: usize = 64;
 
 /// Where the capacity constraint `C` of §4 comes from.
 ///
@@ -81,57 +71,16 @@ impl CapacityModel {
     }
 }
 
-/// One shard's size/assigned accumulators. The assignment column
-/// itself stays ONE flat vertex-indexed vector (so the `shards = 1`
-/// hot path pays zero extra indirection over the pre-shard layout) in
-/// which shard `s` *owns* the striped indices `{s, s + N, ...}` — see
-/// [`ShardMap`]. The global aggregates are always the exact integer
-/// sums of these accumulators — that is the whole per-shard capacity
-/// story (DESIGN.md §14): integer addition is associative and
-/// order-free, so the aggregated `C` is bit-identical for any shard
-/// count.
-#[derive(Clone, Debug)]
-struct ShardAccum {
-    /// Per-partition assigned counts for the vertices this shard owns.
-    sizes: Vec<usize>,
-    /// Vertices this shard has permanently assigned.
-    assigned: usize,
-}
-
-impl ShardAccum {
-    fn empty(k: usize) -> Self {
-        ShardAccum {
-            sizes: vec![0; k],
-            assigned: 0,
-        }
-    }
-}
-
 /// Assignment of vertices to `k` partitions, with sizes and capacity.
-///
-/// The assignment column is one flat vertex-indexed vector in which
-/// shard `s` *owns* the striped indices `{s, s + N, ...}` (default: 1
-/// shard, everything) — see [`ShardMap`] and DESIGN.md §14. In sharded
-/// mode the global `sizes`/`assigned` aggregates are maintained
-/// alongside per-shard accumulators on the sequential path and
-/// resynced by exact integer summation after a parallel shard commit,
-/// so every capacity read is bit-identical for any shard count.
 #[derive(Clone, Debug)]
 pub struct PartitionState {
     k: usize,
     slack: f64,
     /// `Some(C)` in prescient mode; `None` recomputes from the count.
     fixed_capacity: Option<f64>,
-    map: ShardMap,
-    /// Flat vertex→partition column (the pre-shard layout): shard `s`
-    /// owns the striped indices `{s, s + N, ...}`. Layout-independent,
-    /// so `set_shards` never re-keys it.
+    /// Flat vertex→partition column.
     assignment: Vec<u32>,
-    /// Per-shard accumulators, indexed by shard.
-    accums: Vec<ShardAccum>,
-    /// Exact aggregate of the shard-local `sizes`.
     sizes: Vec<usize>,
-    /// Exact aggregate of the shard-local `assigned`.
     assigned: usize,
 }
 
@@ -157,46 +106,10 @@ impl PartitionState {
             k,
             slack,
             fixed_capacity,
-            map: ShardMap::new(1),
             assignment: vec![UNASSIGNED; reserve],
-            accums: vec![ShardAccum::empty(k)],
             sizes: vec![0; k],
             assigned: 0,
         }
-    }
-
-    /// Re-key the state into `shards` shard ownership stripes (clamped
-    /// to at least 1). A pure layout knob — results are bit-identical
-    /// for any value — so it must be called before any vertex is
-    /// assigned. The flat assignment column itself is stripe-owned in
-    /// place, so only the accumulators rebuild.
-    ///
-    /// # Panics
-    /// Panics if any vertex has already been assigned.
-    pub fn set_shards(&mut self, shards: usize) {
-        let shards = shards.max(1);
-        if shards == self.map.shards() {
-            return;
-        }
-        assert_eq!(
-            self.assigned, 0,
-            "set_shards must run before ingest (got {} assigned vertices)",
-            self.assigned
-        );
-        self.map = ShardMap::new(shards);
-        self.accums = (0..shards).map(|_| ShardAccum::empty(self.k)).collect();
-    }
-
-    /// Number of shard-owned state columns (1 = the flat layout).
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.map.shards()
-    }
-
-    /// The vertex→shard ownership map in use.
-    #[inline]
-    pub fn shard_map(&self) -> ShardMap {
-        self.map
     }
 
     /// Convenience: the pre-refactor constructor — `k` partitions over
@@ -277,15 +190,6 @@ impl PartitionState {
         *cell = p.0;
         self.sizes[p.index()] += 1;
         self.assigned += 1;
-        // In sharded mode the owning shard's accumulators ride along.
-        // The flat default skips them entirely (they would mirror the
-        // globals cell for cell) so it pays nothing over the pre-shard
-        // layout; `shard_occupancy` answers from the globals instead.
-        if self.map.shards() > 1 {
-            let acc = &mut self.accums[self.map.shard_of(v)];
-            acc.sizes[p.index()] += 1;
-            acc.assigned += 1;
-        }
     }
 
     /// Vertices currently in partition `p`.
@@ -339,9 +243,7 @@ impl PartitionState {
     }
 
     /// A point-in-time [`Assignment`] copy (the engine's mid-stream
-    /// snapshots use this; unassigned vertices stay unassigned). The
-    /// column is already flat and vertex-indexed, so the result is
-    /// layout-independent by construction.
+    /// snapshots use this; unassigned vertices stay unassigned).
     pub fn to_assignment(&self) -> Assignment {
         Assignment {
             k: self.k,
@@ -357,131 +259,10 @@ impl PartitionState {
         }
     }
 
-    /// Per-shard occupancy (registered slots, assigned vertices,
-    /// projected extent) — the observability face of the per-shard
-    /// capacity model. Placement never reads these (DESIGN.md §14).
-    pub fn shard_occupancy(&self) -> Vec<ShardOccupancy> {
-        if self.map.shards() == 1 {
-            // Flat mode keeps no per-shard accumulators (the globals
-            // ARE shard 0's accumulators).
-            return vec![ShardOccupancy {
-                shard: 0,
-                registered: self.assignment.len(),
-                assigned: self.assigned,
-                extent_estimate: self.assignment.len().max(SHARD_WARMUP_SLOTS),
-            }];
-        }
-        self.accums
-            .iter()
-            .enumerate()
-            .map(|(s, acc)| {
-                let registered = self.map.slots_for(s, self.assignment.len());
-                ShardOccupancy {
-                    shard: s,
-                    registered,
-                    assigned: acc.assigned,
-                    extent_estimate: registered.max(SHARD_WARMUP_SLOTS) * self.map.shards(),
-                }
-            })
-            .collect()
-    }
-
-    /// Recompute the global aggregates as exact integer sums of the
-    /// shard-local accumulators — the sequence-free half of the merge
-    /// after a parallel shard commit. Addition over `usize` is
-    /// associative and order-free, so the result is bit-identical to
-    /// having maintained the aggregates edge at a time.
-    fn resync_aggregates(&mut self) {
-        self.assigned = self.accums.iter().map(|a| a.assigned).sum();
-        for p in 0..self.k {
-            self.sizes[p] = self.accums.iter().map(|a| a.sizes[p]).sum();
-        }
-    }
-
-    /// Run one commit task per shard across `pool`, each with exclusive
-    /// mutable access to its own index stripe of the flat assignment
-    /// column, then resync the global aggregates. This is the
-    /// shard-parallel commit path for placements that are pure
-    /// per-vertex functions (Hash): each task must only touch vertices
-    /// it [`ShardCommit::owns`] (enforced — every accessor checks
-    /// ownership and panics otherwise, so stripes are disjoint by
-    /// construction), and determinism follows because every vertex's
-    /// sightings are processed by exactly one task in arrival order.
-    ///
-    /// `registered_extent` must be at least one past the largest vertex
-    /// id the closure will touch: the column is grown (sequentially,
-    /// before the fan-out) to exactly that length, matching the length
-    /// the sequential walk would have left behind, because tasks cannot
-    /// grow the shared column concurrently.
-    ///
-    /// On a panic inside a task, all remaining shards still execute and
-    /// the lowest-indexed shard's panic is returned (the pool's
-    /// deterministic-panic discipline); the state is left with
-    /// consistent aggregates but unspecified assignments, exactly like
-    /// any other failed parallel batch.
-    pub fn commit_shards_parallel(
-        &mut self,
-        pool: &WorkerPool,
-        registered_extent: usize,
-        f: &(dyn Fn(&mut ShardCommit<'_>) + Sync),
-    ) -> Result<(), ChunkPanic> {
-        // The flat default maintains no per-shard accumulators (see
-        // `assign`), so the post-join resync would zero the globals.
-        // There is nothing to parallelise over one stripe anyway.
-        assert!(
-            self.map.shards() > 1,
-            "commit_shards_parallel requires a sharded state (set_shards > 1)"
-        );
-        if self.assignment.len() < registered_extent {
-            self.assignment.resize(registered_extent, UNASSIGNED);
-        }
-        /// Raw cursor into the flat assignment column. Task `s` only
-        /// touches indices `i` with `i mod N == s` (ownership-checked
-        /// in every [`ShardCommit`] accessor), tasks tile `0..N`
-        /// without overlap, and the pool joins the job before `run`
-        /// returns — every cell has exactly one accessor within the
-        /// borrow's lifetime.
-        #[derive(Clone, Copy)]
-        struct CellsPtr(*mut u32);
-        unsafe impl Send for CellsPtr {}
-        unsafe impl Sync for CellsPtr {}
-        /// Same discipline for the per-shard accumulator array: task
-        /// `s` dereferences only index `s`.
-        #[derive(Clone, Copy)]
-        struct AccumsPtr(*mut ShardAccum);
-        unsafe impl Send for AccumsPtr {}
-        unsafe impl Sync for AccumsPtr {}
-
-        let cells = CellsPtr(self.assignment.as_mut_ptr());
-        let len = self.assignment.len();
-        let accums = AccumsPtr(self.accums.as_mut_ptr());
-        let map = self.map;
-        let result = pool.run(self.accums.len(), &|s| {
-            // Rebind so the closure captures the `Sync` wrappers, not
-            // the raw pointer fields (edition-2021 disjoint capture).
-            #[allow(clippy::redundant_locals)]
-            let cells = cells;
-            #[allow(clippy::redundant_locals)]
-            let accums = accums;
-            // SAFETY: task `s` is the sole accessor of accumulator `s`
-            // and of stripe `s` of the cells; see the wrapper docs.
-            let accum = unsafe { &mut *accums.0.add(s) };
-            f(&mut ShardCommit {
-                cells: cells.0,
-                len,
-                accum,
-                map,
-                index: s,
-            });
-        });
-        self.resync_aggregates();
-        result
-    }
-
     /// Serialize the mutable state for a crash-recovery checkpoint
-    /// (DESIGN.md §15). Config (`k`, `slack`, capacity model, shard
-    /// map) is NOT written — the resuming process reconstructs it and
-    /// the checkpoint fingerprint guarantees it matches. The aggregates
+    /// (DESIGN.md §15). Config (`k`, `slack`, capacity model) is NOT
+    /// written — the resuming process reconstructs it and the
+    /// checkpoint fingerprint guarantees it matches. The aggregates
     /// are written alongside the column they derive from, so the saved
     /// bytes double as a deep-equality digest in the recovery tests.
     pub fn wal_save(&self, w: &mut ByteWriter) {
@@ -493,18 +274,10 @@ impl PartitionState {
         for &s in &self.sizes {
             w.u64(s as u64);
         }
-        w.u64(self.accums.len() as u64);
-        for acc in &self.accums {
-            w.u64(acc.assigned as u64);
-            for &s in &acc.sizes {
-                w.u64(s as u64);
-            }
-        }
     }
 
     /// Inverse of [`PartitionState::wal_save`], applied to a freshly
-    /// constructed state with the same config and `set_shards` already
-    /// applied.
+    /// constructed state with the same config.
     pub fn wal_load(&mut self, r: &mut ByteReader) -> Result<(), WalError> {
         let n = r.len_prefix(4)?;
         let mut assignment = Vec::with_capacity(n);
@@ -523,91 +296,7 @@ impl PartitionState {
         for p in 0..self.k {
             self.sizes[p] = r.u64()? as usize;
         }
-        let accums = r.len_prefix(8)?;
-        if accums != self.accums.len() {
-            return Err(WalError::Corrupt(format!(
-                "partition state: checkpoint has {accums} shard accumulators, this config has {}",
-                self.accums.len()
-            )));
-        }
-        for acc in &mut self.accums {
-            acc.assigned = r.u64()? as usize;
-            for s in acc.sizes.iter_mut() {
-                *s = r.u64()? as usize;
-            }
-        }
         Ok(())
-    }
-}
-
-/// Exclusive commit view of one ownership stripe of the partition
-/// state, handed to each task of
-/// [`PartitionState::commit_shards_parallel`]. Every accessor checks
-/// that the vertex is owned by this shard and panics otherwise — that
-/// check is what makes the concurrent stripes disjoint, so it is
-/// enforced in release builds too.
-pub struct ShardCommit<'a> {
-    cells: *mut u32,
-    len: usize,
-    accum: &'a mut ShardAccum,
-    map: ShardMap,
-    index: usize,
-}
-
-impl ShardCommit<'_> {
-    /// Index of the shard this view commits into.
-    #[inline]
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// True if this shard owns `v`.
-    #[inline]
-    pub fn owns(&self, v: VertexId) -> bool {
-        self.map.shard_of(v) == self.index
-    }
-
-    #[inline]
-    fn owned_index(&self, v: VertexId) -> usize {
-        assert!(self.owns(v), "shard {} does not own {v:?}", self.index);
-        v.0 as usize
-    }
-
-    /// True if `v` (which must be owned) is already assigned.
-    #[inline]
-    pub fn is_assigned(&self, v: VertexId) -> bool {
-        let idx = self.owned_index(v);
-        // SAFETY: `idx` is in this task's exclusive stripe (checked
-        // above); cells beyond the pre-grown length are unregistered.
-        idx < self.len && unsafe { *self.cells.add(idx) } != UNASSIGNED
-    }
-
-    /// Stripe-local [`PartitionState::assign`]: same idempotence and
-    /// re-assignment panic semantics, updating the shard-local
-    /// accumulators (the global aggregates resync after the join).
-    /// The column must have been pre-grown past `v` (the
-    /// `registered_extent` contract); panics otherwise.
-    #[inline]
-    pub fn assign(&mut self, v: VertexId, p: PartitionId) {
-        let idx = self.owned_index(v);
-        assert!(
-            idx < self.len,
-            "{v:?} is beyond the pre-grown extent {}",
-            self.len
-        );
-        // SAFETY: `idx` is in this task's exclusive stripe.
-        let cell = unsafe { &mut *self.cells.add(idx) };
-        if *cell == p.0 {
-            return;
-        }
-        assert_eq!(
-            *cell, UNASSIGNED,
-            "streaming re-assignment of {v:?}: {} -> {}",
-            *cell, p.0
-        );
-        *cell = p.0;
-        self.accum.sizes[p.index()] += 1;
-        self.accum.assigned += 1;
     }
 }
 
@@ -864,12 +553,8 @@ impl AdjacencyRow {
 /// down and frees fully-dead rows — resident memory is bounded by a
 /// small multiple of the horizon, not by the stream length. Unbounded
 /// mode keeps the original grow-forever behaviour bit for bit.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OnlineAdjacency {
-    /// Vertex→shard ownership map (DESIGN.md §14). Rows stay in ONE
-    /// flat vertex-indexed vector — shard `s` owns the striped indices
-    /// `{s, s + N, ...}` — so the flat default pays zero indirection.
-    map: ShardMap,
     rows: Vec<AdjacencyRow>,
     /// `None` = unbounded.
     horizon: Option<u64>,
@@ -888,12 +573,6 @@ pub struct OnlineAdjacency {
     ever: u64,
     /// Completed compactions.
     generation: u64,
-}
-
-impl Default for OnlineAdjacency {
-    fn default() -> Self {
-        Self::with_retention(None, 0)
-    }
 }
 
 impl OnlineAdjacency {
@@ -925,42 +604,10 @@ impl OnlineAdjacency {
             assert!(h > 0, "retention horizon must be positive");
         }
         OnlineAdjacency {
-            map: ShardMap::new(1),
             rows: (0..num_vertices).map(|_| AdjacencyRow::default()).collect(),
             horizon,
-            recent: VecDeque::new(),
-            aged_rows: Vec::new(),
-            live: 0,
-            dead: 0,
-            ever: 0,
-            generation: 0,
+            ..OnlineAdjacency::default()
         }
-    }
-
-    /// Re-key the rows into `shards` ownership stripes (clamped to at
-    /// least 1). A pure layout knob — the rows are vertex-indexed
-    /// either way and the entry sequences every reader observes are
-    /// identical — so it must run before any edge is recorded.
-    ///
-    /// # Panics
-    /// Panics if any entry has already been recorded.
-    pub fn set_shards(&mut self, shards: usize) {
-        let shards = shards.max(1);
-        if shards == self.map.shards() {
-            return;
-        }
-        assert_eq!(
-            self.ever, 0,
-            "set_shards must run before ingest (got {} recorded entries)",
-            self.ever
-        );
-        self.map = ShardMap::new(shards);
-    }
-
-    /// Number of row ownership stripes (1 = the flat layout).
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.map.shards()
     }
 
     /// The retention horizon in edges (`None` = unbounded).
@@ -1139,7 +786,7 @@ impl OnlineAdjacency {
     /// because compaction triggers off resident populations: a
     /// "cleaned" reload would compact at different edges than the
     /// uninterrupted run and break bit-identity of the generation
-    /// counter. Config (shard map, horizon) is not written.
+    /// counter. Config (the horizon) is not written.
     pub fn wal_save(&self, w: &mut ByteWriter) {
         w.u64(self.rows.len() as u64);
         for row in &self.rows {
@@ -1259,11 +906,7 @@ impl OnlineAdjacency {
 #[derive(Clone, Debug)]
 pub struct NeighborCounts {
     k: usize,
-    /// Vertex→shard ownership map; counter rows live in shard-owned
-    /// one flat vertex-indexed `[vertex][partition]` table in which
-    /// shard `s` owns the striped rows `{s, s + N, ...}` (DESIGN.md
-    /// §14) — flat so the default layout pays zero indirection.
-    map: ShardMap,
+    /// Flat `[vertex][partition]` counters.
     counts: Vec<u32>,
     /// All-zero row returned for vertices never seen (keeps reads
     /// allocation-free without forcing registration on read).
@@ -1279,7 +922,6 @@ impl NeighborCounts {
         assert!(k > 0, "k must be positive");
         NeighborCounts {
             k,
-            map: ShardMap::new(1),
             counts: Vec::new(),
             zeros: vec![0; k],
         }
@@ -1291,31 +933,6 @@ impl NeighborCounts {
         let mut c = Self::new(k);
         c.counts = vec![0; num_vertices * k];
         c
-    }
-
-    /// Re-key the counter rows into `shards` ownership stripes
-    /// (clamped to at least 1). A pure layout knob — the table is
-    /// vertex-indexed either way; must run before any counter is
-    /// touched.
-    ///
-    /// # Panics
-    /// Panics if any counter row has already been registered.
-    pub fn set_shards(&mut self, shards: usize) {
-        let shards = shards.max(1);
-        if shards == self.map.shards() {
-            return;
-        }
-        assert!(
-            self.counts.iter().all(|&n| n == 0),
-            "set_shards must run before ingest (live counter rows exist)"
-        );
-        self.map = ShardMap::new(shards);
-    }
-
-    /// Number of counter-row ownership stripes (1 = the flat layout).
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.map.shards()
     }
 
     #[inline]

@@ -6,16 +6,16 @@ use loom_graph::{GraphStream, StreamEdge};
 use loom_matcher::ArenaOccupancy;
 
 /// A batch ingest failure surfaced by
-/// [`StreamPartitioner::try_on_batch`]: a worker panicked while
-/// probing one edge of the batch. The partitioner never hangs on a
-/// worker panic — the pool runs every chunk to completion and the
-/// lowest-offset failure is reported deterministically.
+/// [`StreamPartitioner::try_on_batch`]: the partitioner could not
+/// ingest one edge of the batch. None of the partitioners in this
+/// crate fails; the type lets a wrapping partitioner report a failure
+/// the engine then names by batch and stream position.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IngestError {
     /// Offset of the failing edge *within the batch* (the engine
     /// translates this into a stream-global edge index).
     pub edge_offset: usize,
-    /// The worker's panic message.
+    /// What went wrong.
     pub message: String,
 }
 
@@ -23,7 +23,7 @@ impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "worker panicked at batch offset {}: {}",
+            "ingest failed at batch offset {}: {}",
             self.edge_offset, self.message
         )
     }
@@ -31,20 +31,16 @@ impl std::fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
-/// Cumulative wall-time split of a parallel ingest, surfaced in engine
-/// snapshots when a partitioner runs with more than one worker:
-/// `probe_ns` is the fanned-out pure phase (classification + read-only
-/// matcher probes), `commit_ns` the sequential stateful phase (arena
-/// writes, eviction auctions, counter/adjacency upkeep). Timing is
-/// observability only — it never feeds back into any decision, so
-/// determinism is untouched.
+/// Kept only for the benchmark's partitioner wrapper, which forwards
+/// [`StreamPartitioner::ingest_phases`]; no partitioner reports it
+/// and nothing reads it. Ingest is sequential (DESIGN.md §12).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestPhases {
-    /// Worker count the partitioner is running with.
+    /// Worker count.
     pub threads: usize,
-    /// Cumulative wall-clock nanoseconds in the parallel probe phase.
+    /// Wall-clock nanoseconds in a fanned-out phase.
     pub probe_ns: u64,
-    /// Cumulative wall-clock nanoseconds in the sequential commit phase.
+    /// Wall-clock nanoseconds in a sequential phase.
     pub commit_ns: u64,
 }
 
@@ -80,40 +76,27 @@ pub trait StreamPartitioner {
         }
     }
 
-    /// Set the worker count for batch ingest (1 = fully sequential,
-    /// the default). The bit-identity contract of
-    /// [`StreamPartitioner::on_batch`] extends over thread counts: a
-    /// partitioner may only parallelise work whose merged result is
-    /// provably independent of worker scheduling (DESIGN.md §13).
-    /// Partitioners whose per-edge work is inherently sequential (LDG
-    /// and Fennel score against partition sizes mutated by every
-    /// placement) ignore this — the default is a no-op.
+    /// Kept only for the benchmark's partitioner wrapper, which
+    /// forwards it; ingest is sequential, so this does nothing.
     fn set_threads(&mut self, _threads: usize) {}
 
-    /// Set the number of shard-owned vertex-state columns (1 = the
-    /// flat layout, the default). Like [`set_threads`], a pure
-    /// layout/throughput knob under the same bit-identity contract:
-    /// results are identical for ANY shard count (DESIGN.md §14), and
-    /// the shard-equivalence suite enforces it. Must be called before
-    /// any edge is ingested (implementations panic otherwise). The
-    /// default is a no-op for partitioners with no shardable state.
-    ///
-    /// [`set_threads`]: StreamPartitioner::set_threads
+    /// Kept only for the benchmark's partitioner wrapper, which
+    /// forwards it; vertex state is one flat layout, so this does
+    /// nothing.
     fn set_shards(&mut self, _shards: usize) {}
 
-    /// [`StreamPartitioner::on_batch`] with worker-panic propagation:
-    /// the parallel ingest path. The default (and every sequential
-    /// partitioner) just delegates to `on_batch` and cannot fail.
-    /// After an `Err`, the partitioner's state is unspecified — the
-    /// engine abandons the run and surfaces the error.
+    /// [`StreamPartitioner::on_batch`] that may fail: the call the
+    /// engine ingests every batch through. The default (used by every
+    /// partitioner in this crate) delegates to `on_batch` and cannot
+    /// fail. After an `Err` the partitioner's state is unspecified —
+    /// the engine abandons the run and surfaces the error.
     fn try_on_batch(&mut self, batch: &[StreamEdge]) -> Result<(), IngestError> {
         self.on_batch(batch);
         Ok(())
     }
 
-    /// Per-phase wall-time of the parallel ingest so far, or `None`
-    /// when running single-threaded (so the threads=1 output of every
-    /// consumer stays byte-identical to the sequential builds).
+    /// Kept only for the benchmark's partitioner wrapper, which
+    /// forwards it; always `None`.
     fn ingest_phases(&self) -> Option<IngestPhases> {
         None
     }
@@ -144,8 +127,8 @@ pub trait StreamPartitioner {
     /// Serialize the partitioner's full recoverable state into `w`
     /// for a crash-recovery checkpoint (DESIGN.md §15). Everything a
     /// fresh instance needs to continue bit-identically must be
-    /// written; config-derived structures (shard maps, motif tables,
-    /// score LUTs) are NOT written — the resuming process rebuilds
+    /// written; config-derived structures (motif tables, score LUTs)
+    /// are NOT written — the resuming process rebuilds
     /// them from its own config, which the checkpoint fingerprint
     /// guarantees matches. The default refuses: a partitioner without
     /// checkpoint support cannot silently resume as an empty one.
@@ -158,10 +141,8 @@ pub trait StreamPartitioner {
 
     /// Inverse of [`StreamPartitioner::save_state`]: overwrite this
     /// instance's mutable state with the checkpointed bytes. Must be
-    /// called on a freshly-constructed instance (same config, same
-    /// `set_shards`/`set_threads` already applied) before any edge is
-    /// ingested. Timing counters (`probe_ns`/`commit_ns`) restart at
-    /// zero — they are observability, not state.
+    /// called on a freshly-constructed instance (same config) before
+    /// any edge is ingested.
     fn load_state(&mut self, _r: &mut loom_wal::ByteReader) -> Result<(), loom_wal::WalError> {
         Err(loom_wal::WalError::Unsupported(format!(
             "partitioner {} does not support checkpointing",

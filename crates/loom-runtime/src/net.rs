@@ -243,6 +243,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
             Ok((stream, _peer)) => {
                 shared.accepted.fetch_add(1, Ordering::Relaxed);
                 let _ = stream.set_nonblocking(false);
+                // Replies are small and latency-bound: without this,
+                // Nagle's algorithm holds a reply until the client's
+                // delayed ACK for the previous one arrives.
+                let _ = stream.set_nodelay(true);
                 if shared.active.load(Ordering::SeqCst) >= shared.config.max_connections {
                     refuse_connection(stream, &shared);
                     continue;
@@ -347,10 +351,12 @@ fn answer(request: &str, shared: &ServerShared) -> String {
 
 fn writer_loop(mut stream: TcpStream, queue: Arc<ReplyQueue>, write_timeout: Duration) {
     let _ = stream.set_write_timeout(Some(write_timeout));
-    while let Some(reply) = queue.pop() {
+    while let Some(mut reply) = queue.pop() {
+        // One write per reply line, newline included, so it leaves in
+        // one segment.
+        reply.push('\n');
         let ok = stream
             .write_all(reply.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
             .and_then(|()| stream.flush());
         if ok.is_err() {
             // Client gone or stalled past the timeout: unblock the
@@ -412,6 +418,29 @@ mod tests {
         reader.read_to_string(&mut rest).unwrap();
         assert_eq!(rest, "", "server closes after QUIT");
         assert_eq!(metrics.served(), 2, "QUIT is lifecycle, not a query");
+        server.shutdown();
+    }
+
+    #[test]
+    fn sequential_round_trips_are_not_delayed() {
+        // Each reply must leave as soon as it is written: a reply held
+        // back for the client's delayed ACK costs tens of ms per
+        // round trip.
+        let (mut server, _metrics) = echo_server(LineServerConfig::default());
+        let (mut stream, mut reader) = client(server.local_addr());
+        stream.set_nodelay(true).unwrap();
+        let t0 = Instant::now();
+        for i in 0..50 {
+            stream.write_all(format!("ping {i}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            assert_eq!(reply, format!("OK echo ping {i}\n"));
+        }
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "50 sequential round trips took {took:?}"
+        );
         server.shutdown();
     }
 

@@ -13,7 +13,9 @@ use crate::bytes::{crc32, ByteReader, ByteWriter, WalError};
 use crate::journal::StorageBackend;
 
 const MAGIC: u32 = 0x4C4F_4F4D; // "LOOM"
-const VERSION: u32 = 1;
+/// Version 2 dropped the per-shard accumulator block from the
+/// partition state; version 1 files are refused, never misparsed.
+const VERSION: u32 = 2;
 
 /// One decoded checkpoint.
 #[derive(Debug, Clone)]
@@ -149,6 +151,23 @@ mod tests {
         let list = list_checkpoints(&backend).unwrap();
         let seqs: Vec<u64> = list.iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![2, 7, 11]);
+    }
+
+    #[test]
+    fn version_1_checkpoint_is_refused_as_unsupported() {
+        let backend = MemBackend::new();
+        write_checkpoint(&backend, &sample(1)).unwrap();
+        let name = checkpoint_name(1);
+        let mut old = backend.contents(&name).unwrap();
+        // The version word follows the magic; the CRC covers only the
+        // payload, so the file is otherwise intact.
+        old[4..8].copy_from_slice(&1u32.to_le_bytes());
+        backend.set_contents(&name, old);
+        let err = read_checkpoint(&backend, &name).unwrap_err().to_string();
+        assert!(
+            err.contains("unsupported version 1 (this build reads 2)"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

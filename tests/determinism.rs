@@ -66,44 +66,6 @@ fn assignments_are_identical_across_runs() {
     }
 }
 
-/// Worker and shard counts are pure throughput knobs: the per-vertex
-/// assignment of every system is bit-identical across shard counts
-/// {1, 2, 4} × threads {1, 4} (the parallel ingest pipeline only fans
-/// out pure per-edge work, and sharding only re-keys the state layout
-/// — DESIGN.md §13–§14, `crates/loom-core/tests/parallel_equivalence.rs`
-/// and `crates/loom-core/tests/shard_equivalence.rs`).
-#[test]
-fn assignments_are_identical_across_worker_and_shard_counts() {
-    let base = tiny(DatasetKind::Dblp, StreamOrder::Random);
-    let graph = datasets::generate(base.dataset, base.scale, base.seed);
-    let workload = workload_for(base.dataset);
-    let stream = GraphStream::from_graph(&graph, base.order, base.seed);
-    for system in System::ALL {
-        let (reference, _) = partition_timed(system, &base, &stream, &workload);
-        for shards in [1usize, 2, 4] {
-            for threads in [1usize, 4] {
-                if (shards, threads) == (1, 1) {
-                    continue; // that IS the reference
-                }
-                let mut cfg = base.clone();
-                cfg.shards = shards;
-                cfg.threads = threads;
-                let (parallel, _) = partition_timed(system, &cfg, &stream, &workload);
-                assert_eq!(reference.k(), parallel.k());
-                for v in graph.vertices() {
-                    assert_eq!(
-                        reference.partition_of(v),
-                        parallel.partition_of(v),
-                        "{}: vertex {v:?} moved between (shards 1, threads 1) and \
-                         (shards {shards}, threads {threads})",
-                        system.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Different seeds must actually change the outcome — guards against a
 /// seed that is silently ignored somewhere in the pipeline (which
 /// would make the two tests above pass vacuously).

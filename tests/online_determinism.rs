@@ -14,17 +14,6 @@ use loom_core::System;
 /// One online run: `system` over `max_edges` edges of the synthetic
 /// unbounded source, adaptive capacity, snapshots every 2_000 edges.
 fn online_run(system: System, seed: u64, max_edges: u64) -> (Vec<Snapshot>, Assignment) {
-    online_run_at(system, seed, max_edges, 1, 1)
-}
-
-/// [`online_run`] at an explicit ingest worker and shard count.
-fn online_run_at(
-    system: System,
-    seed: u64,
-    max_edges: u64,
-    threads: usize,
-    shards: usize,
-) -> (Vec<Snapshot>, Assignment) {
     let mut cfg = ExperimentConfig::evaluation_defaults(
         DatasetKind::ProvGen, // dataset irrelevant: source is synthetic
         Scale::Tiny,
@@ -33,8 +22,6 @@ fn online_run_at(
     cfg.k = 4;
     cfg.seed = seed;
     cfg.window_size = 256;
-    cfg.threads = threads;
-    cfg.shards = shards;
     let workload = workload_for(DatasetKind::ProvGen);
     let num_labels = 3;
     let p = make_partitioner_with_capacity(
@@ -95,53 +82,6 @@ fn online_runs_are_bit_identical_across_runs() {
             "{}: assignments diverged between identical online runs",
             system.name()
         );
-    }
-}
-
-/// Online runs are bit-identical across ingest worker AND shard
-/// counts too: every snapshot observable (the phase-timing `ingest`
-/// field aside — wall-clock, by design) and the final assignment
-/// agree over shard counts {1, 2, 4} × threads {1, 4}, for every
-/// system (DESIGN.md §13–§14).
-#[test]
-fn online_runs_are_bit_identical_across_worker_and_shard_counts() {
-    for system in System::ALL {
-        let (snaps_ref, a) = online_run_at(system, 0x5eed, 8_000, 1, 1);
-        for shards in [1usize, 2, 4] {
-            for threads in [1usize, 4] {
-                if (shards, threads) == (1, 1) {
-                    continue; // that IS the reference
-                }
-                let (snaps, b) = online_run_at(system, 0x5eed, 8_000, threads, shards);
-                let name = system.name();
-                let ctx = format!("{name}@t{threads}s{shards}");
-                assert_eq!(snaps_ref.len(), snaps.len(), "{ctx}: snapshot count");
-                for (x, y) in snaps_ref.iter().zip(&snaps) {
-                    assert_eq!(x.seq, y.seq, "{ctx}: snapshot seq diverged");
-                    assert_eq!(x.edges, y.edges, "{ctx}: edge count diverged");
-                    assert_eq!(x.vertices, y.vertices, "{ctx}: vertices diverged");
-                    assert_eq!(x.sizes, y.sizes, "{ctx}: sizes diverged");
-                    assert_eq!(
-                        x.capacity.to_bits(),
-                        y.capacity.to_bits(),
-                        "{ctx}: adaptive capacity diverged"
-                    );
-                    assert_eq!(x.cut_edges, y.cut_edges, "{ctx}: cuts diverged");
-                    assert_eq!(
-                        x.resolved_edges, y.resolved_edges,
-                        "{ctx}: resolution schedule diverged"
-                    );
-                    assert_eq!(x.arena, y.arena, "{ctx}: arena diverged");
-                    assert_eq!(x.adjacency, y.adjacency, "{ctx}: adjacency diverged");
-                }
-                let pairs_a: Vec<_> = a.iter().collect();
-                let pairs_b: Vec<_> = b.iter().collect();
-                assert_eq!(
-                    pairs_a, pairs_b,
-                    "{name}: assignments diverged between (t1, s1) and (t{threads}, s{shards})"
-                );
-            }
-        }
     }
 }
 
